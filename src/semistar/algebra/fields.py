@@ -357,9 +357,6 @@ class ExtensionField:
         c = self.base.coerce(c)
         return tuple(self.base.mul(c, a) for a in x)
 
-    def in_base(self, x) -> bool:
-        return all(self.base.is_zero(a) for a in x[1:])
-
     def rand(self, rng, bound=6):
         return tuple(self.base.rand(rng, bound) for _ in range(self.degree))
 

@@ -65,15 +65,6 @@ class ValueGroup:
             return (a[0], a[1] + 1)
         return a + 1
 
-    def between(self, a, b):
-        """Some element strictly between a and b (requires a < b)."""
-        if not self.lt(a, b):
-            raise AlgebraError("between() needs a < b")
-        if self.kind == "Q":
-            return (a + b) / 2
-        s = self.successor(a)
-        return s if self.lt(s, b) else None
-
     def rand(self, rng, window: int = 8, denbound: int = 12):
         if self.kind == "Z":
             return rng.randint(-window, window)

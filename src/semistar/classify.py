@@ -38,13 +38,6 @@ from .operations import (
 from .verdict import SampleSpec, Verdict, holds, refuted, unknown
 
 
-def theorem_suite(domain, op, spec):
-    """Run the executable implication lattice; see semistar.theorems."""
-    from .theorems import theorem_suite as _suite
-
-    return _suite(domain, op, spec)
-
-
 # ---------------------------------------------------------------------------
 # sampling universes
 
@@ -53,7 +46,7 @@ def probe_ideals(domain: DomainHandle, spec: SampleSpec, n=None, integral=False,
     eng = domain.engine
     out = [unit_handle(domain), maximal_handle(domain)]
     if domain.family in ("pullback", "valuation"):
-        v = make_handle(domain, eng.extend("V", eng.unit()))
+        v = domain.overring_unit
         if not handle_eq(v, out[0]):
             out.append(v)
     rng = spec.rng(f"probe/{domain.name}/{integral}/{fg}")
@@ -95,8 +88,7 @@ def _envelope_fixed(op: SemistarOp, dom: DomainHandle) -> bool:
     minimal support level of every finitely generated module's image."""
     if dom.family == "numsgr":
         return False
-    eng = dom.engine
-    v = make_handle(dom, eng.extend("V", eng.unit()))
+    v = dom.overring_unit
     return handle_eq(apply(op, v), v)
 
 
@@ -158,7 +150,7 @@ def is_star_finite(op: SemistarOp, i: IdealHandle, spec: SampleSpec, within: boo
     eng = dom.engine
     if not within:
         candidates.append(unit_handle(dom))
-        candidates.append(make_handle(dom, eng.extend("V", eng.unit())))
+        candidates.append(dom.overring_unit)
     rng = spec.rng(f"finite/{dom.name}")
     for _ in range(spec.count):
         j = make_handle(dom, eng.sample_fg_ideal(rng, spec))
@@ -226,7 +218,6 @@ def _cancellation_verdict(domain, op, spec, fg_only: bool) -> Verdict:
         return holds("star-domain-cancellation", detail=sd.reason)
     if _induced_by_valuation_overring(op, domain):
         return holds("valuation-overring-ab")
-    eng = domain.engine
     if domain.family == "numsgr":
         from .numsgr import enumerate_ideals
 
@@ -238,7 +229,14 @@ def _cancellation_verdict(domain, op, spec, fg_only: bool) -> Verdict:
     checked = 0
     import itertools
 
-    for e, f, g in itertools.product(ideals, repeat=3):
+    closed = {}  # (i, j) -> (E_i F_j)^op and (None, j) -> F_j^op, for this call only
+
+    def star(i, j):
+        if (i, j) not in closed:
+            closed[i, j] = apply(op, ideals[j] if i is None else handle_mul(ideals[i], ideals[j]))
+        return closed[i, j]
+
+    for (a, e), (b, f), (c, g) in itertools.product(enumerate(ideals), repeat=3):
         if checked >= budget:
             break
         checked += 1
@@ -246,9 +244,7 @@ def _cancellation_verdict(domain, op, spec, fg_only: bool) -> Verdict:
             continue
         if fg_only and not (f.finitely_generated and g.finitely_generated):
             continue
-        ef = apply(op, handle_mul(e, f))
-        eg = apply(op, handle_mul(e, g))
-        if handle_leq(ef, eg) and not handle_leq(apply(op, f), apply(op, g)):
+        if handle_leq(star(a, b), star(a, c)) and not handle_leq(star(None, b), star(None, c)):
             return refuted(e, f, g, detail="cancellation failure")
     return unknown(checked)
 

@@ -424,8 +424,12 @@ def _small_nonneg(group, rng, window):
     return g
 
 
+SAMPLE_ATTEMPTS = 1000  # rejection-sampling cap; a hit raises instead of hanging
+
+
 def _small_positive(group, rng, window):
-    while True:
+    for _ in range(SAMPLE_ATTEMPTS):
         g = _small_nonneg(group, rng, window)
         if group.lt(group.zero, g):
             return g
+    raise AlgebraError(f"no positive sample in {SAMPLE_ATTEMPTS} attempts")

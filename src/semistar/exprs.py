@@ -500,7 +500,7 @@ def _eval(node, domain: DomainHandle) -> IdealHandle:
             return unit_handle(domain)
         if node.name == "M":
             return maximal_handle(domain)
-        return make_handle(domain, domain.engine.extend("V", domain.engine.unit()))
+        return domain.overring_unit
     if isinstance(node, GenIdeal):
         if domain.family == "numsgr":
             from .numsgr import ideal_normalize

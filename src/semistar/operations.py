@@ -11,6 +11,7 @@ UnsupportedOperation; nothing is ever silently approximated.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -187,6 +188,43 @@ class DomainHandle:
             return _PullbackEngine(self.payload)
         return _ValuationEngine(self.payload)
 
+    # landmark ideals and per-operation facts: built on first use, then kept
+    @cached_property
+    def unit(self) -> "IdealHandle":
+        return make_handle(self, self.engine.unit())
+
+    @cached_property
+    def maximal(self) -> "IdealHandle":
+        return make_handle(self, self.engine.maximal())
+
+    @cached_property
+    def overring_unit(self) -> "IdealHandle":
+        """The valuation overring V as a fractional ideal of the domain."""
+        return make_handle(self, self.engine.extend("V", self.engine.unit()))
+
+    @cached_property
+    def verified(self) -> weakref.WeakSet:
+        """Live payloads whose finite-generation witness has regenerated them."""
+        return weakref.WeakSet()
+
+    @cached_property
+    def _facts(self) -> dict:
+        return {}
+
+    def fact(self, compute, op: SemistarOp):
+        """compute(op, self), evaluated once; a failure is kept as its type and
+        arguments and raised afresh, so no stored exception grows a traceback."""
+        key = (compute, op)
+        if key not in self._facts:
+            try:
+                self._facts[key] = (None, compute(op, self))
+            except (UnsupportedOperation, AlgebraError) as exc:
+                self._facts[key] = (type(exc), exc.args)
+        error, value = self._facts[key]
+        if error is not None:
+            raise error(*value)
+        return value
+
     def __repr__(self):
         return self.name or f"{self.family}({self.payload!r})"
 
@@ -223,17 +261,20 @@ class IdealHandle:
 def make_handle(domain: DomainHandle, payload) -> IdealHandle:
     eng = domain.engine
     witness = eng.fg_witness(payload)
-    if witness is not None and not eng.eq(eng.regenerate(witness), payload):
-        raise ConsistencyError("finite-generation witness does not regenerate the ideal")
+    # payloads are frozen and canonical: an equal live payload already passed
+    if witness is not None and payload not in domain.verified:
+        if not eng.eq(eng.regenerate(witness), payload):
+            raise ConsistencyError("finite-generation witness does not regenerate the ideal")
+        domain.verified.add(payload)
     return IdealHandle(domain, payload, witness)
 
 
 def unit_handle(domain: DomainHandle) -> IdealHandle:
-    return make_handle(domain, domain.engine.unit())
+    return domain.unit
 
 
 def maximal_handle(domain: DomainHandle) -> IdealHandle:
-    return make_handle(domain, domain.engine.maximal())
+    return domain.maximal
 
 
 def handle_add(a: IdealHandle, b: IdealHandle) -> IdealHandle:
@@ -540,10 +581,11 @@ class _PullbackEngine:
         return dplusm.canonical(self.pd, (), Segment.make(self.group, shape, level))
 
     def sample_fg_ideal(self, rng, spec, integral=False):
-        while True:
+        for _ in range(dplusm.SAMPLE_ATTEMPTS):
             m = self.sample_ideal(rng, spec, integral)
             if dplusm.fg_witness(m) is not None:
                 return m
+        raise AlgebraError(f"no finitely generated sample in {dplusm.SAMPLE_ATTEMPTS} attempts")
 
     def proper_subideal_samples(self, rng):
         out = []
@@ -651,8 +693,7 @@ def _from_overring_handle(dom: DomainHandle, h: IdealHandle, tag: str) -> IdealH
 def _ascent_apply(op: SemistarOp, e: IdealHandle) -> IdealHandle:
     # the ascended operation only acts on modules over the overring; there it
     # is the restriction of the original map
-    t = _to_overring_handle(e, op.tag)  # raises if e is not an overring module
-    del t
+    _to_overring_handle(e, op.tag)  # raises if e is not an overring module
     return apply(op.inner, e)
 
 
@@ -745,6 +786,10 @@ class LocalizingSystemView:
 
 
 def localizing_system(op: SemistarOp, dom: DomainHandle) -> LocalizingSystemView:
+    return dom.fact(_localizing_system, op)
+
+
+def _localizing_system(op: SemistarOp, dom: DomainHandle) -> LocalizingSystemView:
     """Cofinal family for {I integral : I^op = D^op} on a local domain.
 
     If M^op differs from D^op, monotonicity pins the system to {D}.  When
@@ -798,6 +843,10 @@ def quasi_star_ideal_check(op: SemistarOp, i: IdealHandle) -> bool:
 
 def quasi_star_maximals(op: SemistarOp, dom: DomainHandle) -> tuple:
     """Quasi-maximal tags of the finite-type closure: ("M",) or ()."""
+    return dom.fact(_quasi_star_maximals, op)
+
+
+def _quasi_star_maximals(op: SemistarOp, dom: DomainHandle) -> tuple:
     ftop = ft_op(op)
     if quasi_star_ideal_check(ftop, maximal_handle(dom)):
         return ("M",)

@@ -149,8 +149,10 @@ def theorem_suite(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Sui
         lines.append(_biconditional("star-domain-iff-stable-closure", star_domain, sd_bar))
     except (UnsupportedOperation, UnsupportedMaximalSpectrum):
         pass
-    lines.append(_implication("star-domain-implies-ab", star_domain, classify.is_ab(domain, op, spec)))
-    lines.append(_implication("pstarmd-implies-eab", pstarmd, classify.is_eab(domain, op, spec)))
+    ab = classify.is_ab(domain, op, spec)
+    eab = classify.is_eab(domain, op, spec)
+    lines.append(_implication("star-domain-implies-ab", star_domain, ab))
+    lines.append(_implication("pstarmd-implies-eab", pstarmd, eab))
 
     # --- the invertibility characterization (F(E:F))^op = E^op
     if star_domain.is_holds:
@@ -268,8 +270,6 @@ def theorem_suite(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Sui
         pass
 
     # --- final equivalence: P*MD iff a.b./e.a.b. plus tilde = finite type
-    ab = classify.is_ab(domain, op, spec)
-    eab = classify.is_eab(domain, op, spec)
     lines.append(_implication("pstarmd-implies-ab-with-tilde-eq-ft", pstarmd, _conj(ab, tilde_vs_ft)))
     lines.append(_implication("eab-with-tilde-eq-ft-implies-pstarmd", _conj(eab, tilde_vs_ft), pstarmd))
     lines.append(_implication("star-domain-with-tilde-eq-ft-implies-pstarmd",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from semistar.classify import (
     COHERENT,
     EXTRACOHERENT,
@@ -229,3 +231,45 @@ def test_quasi_chain_members_integral(dom_vq):
     d = unit_handle(dom_vq)
     for h in chain:
         assert handle_leq(h, d)
+
+
+def test_theorem_suite_computes_each_fact_once(monkeypatch, K_quad, K_triv):
+    """One suite evaluates is_ab and is_eab once each and builds each
+    (domain, op) localizing system once, a failed one included."""
+    from semistar import classify, operations, theorems
+    from semistar.operations import UnsupportedOperation, pullback_domain, semigroup_domain, valuation_domain
+
+    calls = {"is_ab": 0, "is_eab": 0}
+    for name in calls:
+        original = getattr(classify, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(classify, name, counted)
+    systems = []
+    original_ls = operations._localizing_system
+
+    def counted_ls(op, dom):
+        systems.append((dom, op, "failed"))  # keeps dom alive, so ids stay distinct
+        out = original_ls(op, dom)
+        systems[-1] = (dom, op, "built")
+        return out
+
+    monkeypatch.setattr(operations, "_localizing_system", counted_ls)
+    spec = SampleSpec(seed=0, count=2)
+    vq = valuation_domain(K_triv, "Q", "v-q-count")
+    for domain, op in ((pullback_domain(K_quad, "Z", "pvd-count"), v_op()),
+                       (semigroup_domain([3, 4, 5], "numsgr-count"), v_op()),
+                       (vq, v_op()), (vq, st_op("K"))):
+        calls.update(is_ab=0, is_eab=0)
+        theorems.theorem_suite(domain, op, spec)
+        assert calls == {"is_ab": 1, "is_eab": 1}
+    keys = [(id(d), op) for d, op, _ in systems]
+    assert len(keys) == len(set(keys))
+    assert {outcome for _, _, outcome in systems} == {"built", "failed"}
+    # a stored failure is raised afresh, with its message
+    with pytest.raises(UnsupportedOperation, match="constant-field"):
+        operations.localizing_system(st_op("K"), vq)
+    assert len(systems) == len(keys)

@@ -54,3 +54,10 @@ def test_scenario_goldens():
     js, text = _scenario_reports()
     _check_or_regen("scenarios_seed0.json", js)
     _check_or_regen("scenarios_seed0.txt", text)
+
+
+def test_suite_golden(capsys):
+    from semistar.cli import main
+
+    main(["--suite", "--samples", "2", "--seed", "0"])
+    _check_or_regen("suite_seed0_samples2.txt", capsys.readouterr().out)

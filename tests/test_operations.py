@@ -277,3 +277,66 @@ def test_op_printing_round_trip():
                  "bar(ft(bar(v)))", "desc(bar(v))"]:
         op = parse_op(text)
         assert parse_op(op_to_text(op)) == op
+
+
+# ---------------------------------------------------------------------------
+# what a domain handle computes once
+
+def test_landmark_handles_are_built_once(dom_pvd, dom_345):
+    for domain in (dom_pvd, dom_345):
+        assert unit_handle(domain) is unit_handle(domain)
+        assert maximal_handle(domain) is maximal_handle(domain)
+        assert domain.overring_unit is domain.overring_unit
+
+
+def test_make_handle_still_rejects_a_fresh_payload_that_does_not_regenerate(monkeypatch):
+    from semistar import numsgr
+    from semistar.operations import ConsistencyError, semigroup_domain
+
+    domain = semigroup_domain([3, 4, 5], "fresh<3,4,5>")
+    ring = domain.payload
+    kept = numsgr.ideal_normalize(ring, [3, 7])
+    make_handle(domain, kept)
+    monkeypatch.setattr(type(domain.engine), "regenerate", lambda self, witness: numsgr.ring_ideal(ring))
+    # an equal payload that is still alive was verified already
+    assert make_handle(domain, numsgr.ideal_normalize(ring, [3, 7])).payload == kept
+    with pytest.raises(ConsistencyError):
+        make_handle(domain, numsgr.ideal_normalize(ring, [4, 5]))
+
+
+def test_verified_payload_leaves_the_set_once_unreferenced(K_quad):
+    import gc
+
+    from semistar import dplusm
+    from semistar.operations import pullback_domain
+
+    domain = pullback_domain(K_quad, "Z", "pvd-fresh")
+    gens = [(K_quad.gen(), 3)]
+    handle = make_handle(domain, dplusm.module_from_generators(domain.payload, gens))
+    assert handle.payload in domain.verified
+    size = len(domain.verified)
+    del handle
+    gc.collect()
+    assert len(domain.verified) == size - 1
+    assert dplusm.module_from_generators(domain.payload, gens) not in domain.verified
+
+
+class _RejectedRng:
+    """Every draw lands where rejection sampling rejects it: uniform draws
+    give an open tail, integer draws give 0."""
+
+    def random(self):
+        return 0.9
+
+    def randint(self, lo, hi):
+        return 0 if lo <= 0 <= hi else lo
+
+
+def test_sampling_loops_stop_at_their_cap(dom_318):
+    from semistar import dplusm
+    from semistar.algebra import ValueGroup
+
+    with pytest.raises(AlgebraError, match="attempts"):
+        dom_318.engine.sample_fg_ideal(_RejectedRng(), SPEC)
+    with pytest.raises(AlgebraError, match="attempts"):
+        dplusm._small_positive(ValueGroup("Z"), _RejectedRng(), 8)
