@@ -10,6 +10,9 @@ is fixed by the operation) and exhausted finite windows in semigroup rings.
 
 from __future__ import annotations
 
+import copy
+import itertools
+
 from .algebra.fields import AlgebraError
 from .operations import (
     ConsistencyError,
@@ -41,37 +44,47 @@ from .verdict import SampleSpec, Verdict, holds, refuted, unknown
 # ---------------------------------------------------------------------------
 # sampling universes
 
-def probe_ideals(domain: DomainHandle, spec: SampleSpec, n=None, integral=False, fg=False):
-    """Deterministic list of ideals: canonical landmarks plus seeded samples."""
-    eng = domain.engine
-    out = [unit_handle(domain), maximal_handle(domain)]
+def probe_stream(domain: DomainHandle, spec: SampleSpec, n=None, integral=False, fg=False):
+    """Canonical landmarks, then seeded samples, drawn in seed order only as
+    the caller consumes them: a search that stops at its first decision
+    draws no further sample, and sees a prefix of `probe_ideals`."""
+    landmarks = [unit_handle(domain), maximal_handle(domain)]
     if domain.family in ("pullback", "valuation"):
         v = domain.overring_unit
-        if not handle_eq(v, out[0]):
-            out.append(v)
+        if not handle_eq(v, landmarks[0]):
+            landmarks.append(v)
     rng = spec.rng(f"probe/{domain.name}/{integral}/{fg}")
+    sampler = domain.engine.sample_fg_ideal if fg else domain.engine.sample_ideal
     want = n if n is not None else spec.count
-    while len(out) < want + 2:
-        sampler = eng.sample_fg_ideal if fg else eng.sample_ideal
-        out.append(make_handle(domain, sampler(rng, spec, integral=integral)))
-    if integral:
-        out = [h for h in out if handle_is_integral(h)]
-    if fg:
-        out = [h for h in out if h.finitely_generated]
-    return out
+    drawn = (make_handle(domain, sampler(rng, spec, integral=integral)) for _ in range(want + 2 - len(landmarks)))
+    for h in itertools.chain(landmarks, drawn):
+        if (not integral or handle_is_integral(h)) and (not fg or h.finitely_generated):
+            yield h
+
+
+def probe_ideals(domain: DomainHandle, spec: SampleSpec, n=None, integral=False, fg=False):
+    """Deterministic list of ideals: canonical landmarks plus seeded samples,
+    the whole of `probe_stream`.  Searches iterate the stream instead: it
+    draws in the same seed order and stops at the first decision, so their
+    results are identical to a search over this full list."""
+    return list(probe_stream(domain, spec, n, integral, fg))
+
+
+def fg_pair_stream(domain: DomainHandle, spec: SampleSpec, n=None):
+    """Seeded pairs of finitely generated integral ideals (both nonzero),
+    drawn in seed order only as the caller consumes them."""
+    rng = spec.rng(f"pairs/{domain.name}")
+
+    def draw():
+        return make_handle(domain, domain.engine.sample_fg_ideal(rng, spec, integral=True))
+
+    for _ in range(n if n is not None else spec.count):
+        yield draw(), draw()
 
 
 def fg_ideal_pairs(domain: DomainHandle, spec: SampleSpec, n=None):
-    """Seeded pairs of finitely generated integral ideals (both nonzero)."""
-    rng = spec.rng(f"pairs/{domain.name}")
-    eng = domain.engine
-    want = n if n is not None else spec.count
-    pairs = []
-    while len(pairs) < want:
-        a = make_handle(domain, eng.sample_fg_ideal(rng, spec, integral=True))
-        b = make_handle(domain, eng.sample_fg_ideal(rng, spec, integral=True))
-        pairs.append((a, b))
-    return pairs
+    """The whole of `fg_pair_stream` as a list."""
+    return list(fg_pair_stream(domain, spec, n))
 
 
 # ---------------------------------------------------------------------------
@@ -145,17 +158,11 @@ def is_star_finite(op: SemistarOp, i: IdealHandle, spec: SampleSpec, within: boo
                     i, image,
                     detail="support-below-envelope: the image reaches a level no subideal's closure can",
                 )
-    # search for an explicit witness
-    candidates = []
-    eng = dom.engine
-    if not within:
-        candidates.append(unit_handle(dom))
-        candidates.append(dom.overring_unit)
+    # search for an explicit witness, drawing samples only until one is found
     rng = spec.rng(f"finite/{dom.name}")
-    for _ in range(spec.count):
-        j = make_handle(dom, eng.sample_fg_ideal(rng, spec))
-        candidates.append(j)
-    for j in candidates:
+    drawn = (make_handle(dom, dom.engine.sample_fg_ideal(rng, spec)) for _ in range(spec.count))
+    landmarks = [] if within else [unit_handle(dom), dom.overring_unit]
+    for j in itertools.chain(landmarks, drawn):
         if within and not handle_leq(j, i):
             continue
         if handle_eq(apply(op, j), image):
@@ -169,9 +176,7 @@ def is_star_finite(op: SemistarOp, i: IdealHandle, spec: SampleSpec, within: boo
 def is_star_domain(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Verdict:
     if "valuation" in domain.capabilities:
         return holds("valuation-fg-principal", detail="every finitely generated ideal is principal, hence invertible under any operation")
-    for i in probe_ideals(domain, spec, n=spec.count, fg=True):
-        if not i.finitely_generated:
-            continue
+    for i in probe_stream(domain, spec, n=spec.count, fg=True):
         if not is_star_invertible(op, i):
             return refuted(i, detail="finitely generated ideal that is not star-invertible")
     return unknown(spec.count)
@@ -186,7 +191,7 @@ def is_pstarmd(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Verdic
     if direct is None:
         fop = ft_op(op)
         direct = unknown(spec.count)
-        for i in probe_ideals(domain, spec, n=spec.count, fg=True):
+        for i in probe_stream(domain, spec, n=spec.count, fg=True):
             if not is_star_invertible(fop, i):
                 direct = refuted(i, detail="finitely generated ideal that is not invertible under the finite-type closure")
                 break
@@ -227,8 +232,6 @@ def _cancellation_verdict(domain, op, spec, fg_only: bool) -> Verdict:
         ideals = probe_ideals(domain, spec, n=24, fg=fg_only)
     budget = min(spec.count * 40, len(ideals) ** 3)
     checked = 0
-    import itertools
-
     closed = {}  # (i, j) -> (E_i F_j)^op and (None, j) -> F_j^op, for this call only
 
     def star(i, j):
@@ -280,18 +283,23 @@ def _maps_into_chain(op: SemistarOp, domain: DomainHandle) -> bool:
     return False
 
 
-def _coherent_pair_witness(domain, op, spec, e, f) -> "Verdict":
-    """Existence of fg J with J^op = e^op meet f^op, decided per pair."""
-    x = handle_intersect(apply(op, e), apply(op, f))
-    candidates = [e, f]
-    if x.finitely_generated:
-        candidates.append(x)
+def _coherent_pool(domain, op, spec):
+    """The 24 seeded fg candidates of a Coherent check with their images,
+    each drawn and closed once, on first need, and replayable from the
+    start by every pair (`copy.copy` of a tee shares its buffer)."""
     rng = spec.rng(f"coh/{domain.name}")
-    eng = domain.engine
-    for _ in range(24):
-        candidates.append(make_handle(domain, eng.sample_fg_ideal(rng, spec)))
-    for j in candidates:
-        if j.finitely_generated and handle_eq(apply(op, j), x):
+    drawn = (make_handle(domain, domain.engine.sample_fg_ideal(rng, spec)) for _ in range(24))
+    return itertools.tee(((j, apply(op, j)) for j in drawn if j.finitely_generated), 1)[0]
+
+
+def _coherent_pair_witness(domain, op, e, f, pool) -> "Verdict":
+    """Existence of fg J with J^op = e^op meet f^op, decided per pair.  The
+    candidates are e, f, the meet and the pool, tried in that (seed) order;
+    the search stops at the first witness, as a full draw would."""
+    x = handle_intersect(apply(op, e), apply(op, f))
+    head = ((j, apply(op, j)) for j in (e, f, x) if j.finitely_generated)
+    for j, image in itertools.chain(head, copy.copy(pool)):
+        if handle_eq(image, x):
             return holds("witness-found", detail=repr(j))
     if _envelope_fixed(op, domain) and _no_min_support(x):
         return refuted(e, f, detail="cut-parity: the intersection of the images is an open tail")
@@ -324,12 +332,13 @@ def landmark_pairs(domain: DomainHandle):
 
 
 def coherence_check(domain: DomainHandle, kind: str, op: SemistarOp, spec: SampleSpec) -> Verdict:
-    eng = domain.engine
-    pairs = landmark_pairs(domain) + fg_ideal_pairs(domain, spec)
     if "valuation" in domain.capabilities:
         # finitely generated ideals are principal; the chain order makes the
         # meet of any two of them one of the two, hence its own witness
         return holds("chain-meet-finitely-generated")
+    landmarks = landmark_pairs(domain)
+    npairs = len(landmarks) + spec.count
+    pairs = itertools.chain(landmarks, fg_pair_stream(domain, spec))  # drawn as consumed
     if kind == QUASI_COHERENT:
         if "all_fg" in domain.capabilities:
             return holds("all-representable-ideals-finitely-generated")
@@ -338,7 +347,7 @@ def coherence_check(domain: DomainHandle, kind: str, op: SemistarOp, spec: Sampl
             sub = is_star_finite(op, inv, spec)
             if sub.is_refuted:
                 return refuted(f, detail=f"(D:F) not star-finite: {sub.detail}")
-        return unknown(len(pairs))
+        return unknown(npairs)
 
     if kind == TRULY_COHERENT:
         if "all_fg" in domain.capabilities:
@@ -348,15 +357,16 @@ def coherence_check(domain: DomainHandle, kind: str, op: SemistarOp, spec: Sampl
             sub = is_star_finite(op, meet, spec)
             if sub.is_refuted:
                 return refuted(e, f, detail=f"E meet F not star-finite: {sub.detail}")
-        return unknown(len(pairs))
+        return unknown(npairs)
 
     if kind == COHERENT:
         if "all_fg" in domain.capabilities:
             return holds("all-representable-ideals-finitely-generated",
                          detail="the meet of two closed images is representable and finitely generated")
         chain = _maps_into_chain(op, domain)
+        pool = _coherent_pool(domain, op, spec)
         for e, f in pairs:
-            sub = _coherent_pair_witness(domain, op, spec, e, f)
+            sub = _coherent_pair_witness(domain, op, e, f, pool)
             if sub.is_refuted:
                 return refuted(*sub.witness, detail=sub.detail)
             if chain and not sub.is_holds:
@@ -364,7 +374,7 @@ def coherence_check(domain: DomainHandle, kind: str, op: SemistarOp, spec: Sampl
         if chain:
             return holds("overring-chain-images",
                          detail="images are ideals of a valuation overring, so either image is the meet")
-        return unknown(len(pairs))
+        return unknown(npairs)
 
     if kind == EXTRACOHERENT:
         for e, f in pairs:
@@ -381,7 +391,7 @@ def coherence_check(domain: DomainHandle, kind: str, op: SemistarOp, spec: Sampl
         if known_stable(op, domain) and "all_fg" in domain.capabilities:
             # stability kills the gap and the meet is its own witness
             return holds("stable-all-fg", detail="J = E meet F is finitely generated and closes onto the meet of the images")
-        return unknown(len(pairs))
+        return unknown(npairs)
 
     raise AlgebraError(f"unknown coherence kind {kind!r}")
 
@@ -483,7 +493,7 @@ def is_I_domain(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Verdi
     if h.is_holds:
         return holds("finite-character", detail="the finite-character condition forces the invertibility classes to agree")
     fop = ft_op(op)
-    for i in probe_ideals(domain, spec, fg=True):
+    for i in probe_stream(domain, spec, fg=True):
         if is_star_invertible(op, i) and not is_star_invertible(fop, i):
             return refuted(i, detail="invertible under op but not under its finite-type closure")
     return unknown(spec.count)

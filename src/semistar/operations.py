@@ -203,6 +203,20 @@ class DomainHandle:
         return make_handle(self, self.engine.extend("V", self.engine.unit()))
 
     @cached_property
+    def overring(self) -> "DomainHandle":
+        """The overring V (the hull of a semigroup ring) as a domain of its own."""
+        if self.family == "numsgr":
+            return semigroup_domain([1], name=f"{self.name}^hull")
+        if self.family == "pullback":
+            return DomainHandle("valuation", self.payload.valuation, name=f"{self.name}^V")
+        return self
+
+    @cached_property
+    def localized(self) -> "DomainHandle":
+        """The localization at the coarsening prime P1 of the rank-2 lex instance."""
+        return valuation_domain(self.payload.residue_ext, "Z", name=f"{self.name}@P1")
+
+    @cached_property
     def verified(self) -> weakref.WeakSet:
         """Live payloads whose finite-generation witness has regenerated them."""
         return weakref.WeakSet()
@@ -650,19 +664,13 @@ def _spectral_apply(op: SemistarOp, e: IdealHandle) -> IdealHandle:
     if dom.payload_group.kind != "ZxZ":
         raise UnsupportedOperation("spectral localization needs the rank-2 lex group")
     prime = DomainPrime(dom.payload)
-    seg = dplusm.localize_at(e.payload, prime)
-    localized = valuation_domain(dom.payload.residue_ext, "Z", name=f"{dom.name}@P1")
-    return make_handle(localized, seg)
+    return make_handle(dom.localized, dplusm.localize_at(e.payload, prime))
 
 
 def _overring_domain(dom: DomainHandle, tag: str) -> DomainHandle:
     if tag == "K":
         raise UnsupportedOperation("the quotient field is not an overring with its own ideal engine")
-    if dom.family == "numsgr":
-        return semigroup_domain([1], name=f"{dom.name}^hull")
-    if dom.family == "pullback":
-        return DomainHandle("valuation", dom.payload.valuation, name=f"{dom.name}^V")
-    return dom
+    return dom.overring
 
 
 def _to_overring_handle(e: IdealHandle, tag: str) -> IdealHandle:

@@ -273,3 +273,56 @@ def test_theorem_suite_computes_each_fact_once(monkeypatch, K_quad, K_triv):
     with pytest.raises(UnsupportedOperation, match="constant-field"):
         operations.localizing_system(st_op("K"), vq)
     assert len(systems) == len(keys)
+
+
+# ---------------------------------------------------------------------------
+# sampled searches draw lazily and stop at the first decision
+
+def _count_draws(monkeypatch, domain):
+    """Record every payload the domain's engine draws with sample_fg_ideal."""
+    drawn = []
+    engine_type = type(domain.engine)
+    original = engine_type.sample_fg_ideal
+
+    def counted(self, *args, **kwargs):
+        drawn.append(original(self, *args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(engine_type, "sample_fg_ideal", counted)
+    return drawn
+
+
+def test_truly_coherent_refutes_before_any_draw(monkeypatch, dom_318):
+    drawn = _count_draws(monkeypatch, dom_318)
+    verdict = coherence_check(dom_318, TRULY_COHERENT, st_op("V"), SampleSpec(count=200))
+    assert verdict.is_refuted
+    assert drawn == []
+
+
+def test_coherent_draws_its_pool_once_per_check(monkeypatch, dom_318):
+    spec = SampleSpec(count=200)
+    drawn = _count_draws(monkeypatch, dom_318)
+    assert coherence_check(dom_318, COHERENT, st_op("V"), spec).is_holds
+    assert len(drawn) <= 24 + 2 * spec.count
+
+
+def test_coherence_on_a_valuation_domain_draws_nothing(monkeypatch, dom_vq, dom_lex):
+    for domain in (dom_vq, dom_lex):
+        drawn = _count_draws(monkeypatch, domain)
+        for kind in (EXTRACOHERENT, COHERENT, TRULY_COHERENT, QUASI_COHERENT):
+            assert coherence_check(domain, kind, v_op(), SampleSpec(count=200)).is_holds
+        assert drawn == []
+
+
+def test_refuting_star_domain_stops_at_the_refuting_probe(monkeypatch, dom_pvd):
+    from semistar import classify
+
+    drawn = _count_draws(monkeypatch, dom_pvd)
+    # the maximal ideal is a landmark and refutes before any sample is drawn
+    assert is_star_domain(dom_pvd, st_op("V"), SPEC).is_refuted
+    assert drawn == []
+    # a refutation at the first sampled probe draws exactly that probe
+    monkeypatch.setattr(classify, "is_star_invertible", lambda op, i: i.payload not in drawn)
+    verdict = is_star_domain(dom_pvd, st_op("V"), SPEC)
+    assert verdict.is_refuted and len(drawn) == 1
+    assert verdict.witness[0].payload == drawn[0]

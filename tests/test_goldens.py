@@ -1,4 +1,4 @@
-"""Byte-identical golden files for the CLI pipeline at seed 0.
+"""Byte-identical golden files for the CLI pipeline at seeds 0 and 1.
 
 Regenerate with: GOLDEN_REGEN=1 python3 -m pytest tests/test_goldens.py
 """
@@ -30,8 +30,8 @@ def _corpus_report() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scenario_reports():
-    code, rows = run_scenarios("all", SampleSpec(seed=0, count=200))
+def _scenario_reports(seed: int):
+    code, rows = run_scenarios("all", SampleSpec(seed=seed, count=200))
     assert code == 0
     return _render_json(rows), _render_text(rows)
 
@@ -51,9 +51,15 @@ def test_expression_corpus_golden():
 
 
 def test_scenario_goldens():
-    js, text = _scenario_reports()
+    js, text = _scenario_reports(0)
     _check_or_regen("scenarios_seed0.json", js)
     _check_or_regen("scenarios_seed0.txt", text)
+
+
+def test_scenario_goldens_seed1():
+    js, text = _scenario_reports(1)
+    _check_or_regen("scenarios_seed1.json", js)
+    _check_or_regen("scenarios_seed1.txt", text)
 
 
 def test_suite_golden(capsys):

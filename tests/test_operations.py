@@ -340,3 +340,14 @@ def test_sampling_loops_stop_at_their_cap(dom_318):
         dom_318.engine.sample_fg_ideal(_RejectedRng(), SPEC)
     with pytest.raises(AlgebraError, match="attempts"):
         dplusm._small_positive(ValueGroup("Z"), _RejectedRng(), 8)
+
+
+def test_overring_and_localized_domains_are_built_once(dom_pvd, dom_345, dom_vq, dom_lex):
+    from semistar.operations import _overring_domain, spec_op
+
+    for domain in (dom_pvd, dom_345, dom_vq):
+        assert _overring_domain(domain, "V") is _overring_domain(domain, "ic")
+        assert _overring_domain(domain, "V") is domain.overring
+    assert dom_vq.overring is dom_vq
+    p1 = spec_op("P1")
+    assert apply(p1, unit_handle(dom_lex)).domain is apply(p1, maximal_handle(dom_lex)).domain
