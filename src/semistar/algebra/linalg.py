@@ -57,6 +57,18 @@ def _membership_equations(base, rows, width):
     return nullspace(base, rows, width)
 
 
+def _dot(base, u, v):
+    s = base.zero
+    for a, b in zip(u, v):
+        s = base.add(s, base.mul(a, b))
+    return s
+
+
+def _solves(base, eqs, x) -> bool:
+    """N x = 0 for the equation rows N."""
+    return all(base.is_zero(_dot(base, eq, x)) for eq in eqs)
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A base-field subspace of an extension field K, in canonical RREF form."""
@@ -93,20 +105,16 @@ class Subspace:
     def is_full(self) -> bool:
         return len(self.rows) == self.ambient.degree
 
+    def _equations(self):
+        return _membership_equations(self.ambient.base, self.rows, self.ambient.degree)
+
     def contains_vector(self, x) -> bool:
-        eqs = _membership_equations(self.ambient.base, self.rows, self.ambient.degree)
-        base = self.ambient.base
-        for eq in eqs:
-            s = base.zero
-            for a, b in zip(eq, x):
-                s = base.add(s, base.mul(a, b))
-            if not base.is_zero(s):
-                return False
-        return True
+        return _solves(self.ambient.base, self._equations(), x)
 
     def leq(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(other.contains_vector(r) for r in self.rows)
+        eqs = other._equations()  # derived once for every row
+        return all(_solves(self.ambient.base, eqs, r) for r in self.rows)
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient != other.ambient:
@@ -158,11 +166,5 @@ def transporter(target: Subspace, source: Subspace) -> Subspace:
         # column j of (c -> c*u) in coordinates
         cols = [K.mul(e, u) for e in unit_vectors]
         for eq in eqs_target:
-            row = []
-            for j in range(d):
-                s = base.zero
-                for a, b in zip(eq, cols[j]):
-                    s = base.add(s, base.mul(a, b))
-                row.append(s)
-            constraints.append(tuple(row))
+            constraints.append(tuple(_dot(base, eq, cols[j]) for j in range(d)))
     return Subspace.span(K, nullspace(base, constraints, d))

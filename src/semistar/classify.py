@@ -49,7 +49,7 @@ def probe_stream(domain: DomainHandle, spec: SampleSpec, n=None, integral=False,
     the caller consumes them: a search that stops at its first decision
     draws no further sample, and sees a prefix of `probe_ideals`."""
     landmarks = [unit_handle(domain), maximal_handle(domain)]
-    if domain.family in ("pullback", "valuation"):
+    if domain.engine.overring_atom:
         v = domain.overring_unit
         if not handle_eq(v, landmarks[0]):
             landmarks.append(v)
@@ -98,9 +98,8 @@ def is_star_invertible(op: SemistarOp, i: IdealHandle) -> bool:
 
 def _envelope_fixed(op: SemistarOp, dom: DomainHandle) -> bool:
     """True when the operation maps the overring V to itself, which pins the
-    minimal support level of every finitely generated module's image."""
-    if dom.family == "numsgr":
-        return False
+    minimal support level of every finitely generated module's image.
+    Callers ask only on families with a segment view (not all_fg)."""
     v = dom.overring_unit
     return handle_eq(apply(op, v), v)
 
@@ -108,35 +107,7 @@ def _envelope_fixed(op: SemistarOp, dom: DomainHandle) -> bool:
 def _no_min_support(h: IdealHandle) -> bool:
     """True when the payload has no minimal support level (open tail with no
     jump, or the whole quotient field)."""
-    dom = h.domain
-    if dom.family == "numsgr":
-        return False
-    p = h.payload
-    if dom.family == "valuation":
-        return p.shape in ("open", "whole")
-    return not p.jumps and p.tail.shape in ("open", "whole")
-
-
-def _min_support_cut(h: IdealHandle):
-    """The minimal support level of a cut-based payload, None if open/whole."""
-    dom = h.domain
-    p = h.payload
-    if dom.family == "numsgr":
-        return p.min_value()
-    if dom.family == "valuation":
-        return p.cut if p.shape == "closed" else None
-    if p.jumps:
-        return p.jumps[0][0]
-    return p.tail.cut if p.tail.shape == "closed" else None
-
-
-def _open_cut_of(h: IdealHandle):
-    """The open-tail cut of a non-finitely-generated payload, None for whole."""
-    dom = h.domain
-    p = h.payload
-    if dom.family == "valuation":
-        return p.cut if p.shape == "open" else None
-    return p.tail.cut if p.tail.shape == "open" else None
+    return h.domain.engine.hull(h.payload).shape in ("open", "whole")
 
 
 def is_star_finite(op: SemistarOp, i: IdealHandle, spec: SampleSpec, within: bool = False) -> Verdict:
@@ -150,14 +121,13 @@ def is_star_finite(op: SemistarOp, i: IdealHandle, spec: SampleSpec, within: boo
     if _envelope_fixed(op, dom):
         if _no_min_support(image):
             return refuted(i, image, detail="cut-parity: image of any finitely generated module has a minimal support level")
-        if within:
-            cut = _open_cut_of(i)
-            c0 = _min_support_cut(image)
-            if cut is not None and c0 is not None and not dom.payload_group.lt(cut, c0):
-                return refuted(
-                    i, image,
-                    detail="support-below-envelope: the image reaches a level no subideal's closure can",
-                )
+        # the open tail of i against the minimal support level of the image
+        tail, hull = dom.engine.tail(i.payload), dom.engine.hull(image.payload)
+        if within and tail.shape == "open" and not dom.payload_group.lt(tail.cut, hull.cut):
+            return refuted(
+                i, image,
+                detail="support-below-envelope: the image reaches a level no subideal's closure can",
+            )
     # search for an explicit witness, drawing samples only until one is found
     rng = spec.rng(f"finite/{dom.name}")
     drawn = (make_handle(dom, dom.engine.sample_fg_ideal(rng, spec)) for _ in range(spec.count))
@@ -208,10 +178,8 @@ def is_pstarmd(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Verdic
 
 
 def _induced_by_valuation_overring(op: SemistarOp, domain: DomainHandle) -> bool:
-    if domain.family in ("pullback", "valuation") and op.kind == "st" and op.tag in ("V", "ic"):
-        return True
-    if domain.family == "numsgr" and op.kind == "st" and op.tag in ("V", "ic"):
-        return True  # the hull ring is a discrete valuation ring
+    if op.kind == "st" and op.tag in ("V", "ic"):
+        return True  # V, or the hull ring of a semigroup ring, is a valuation ring
     if op.kind == "desc" and op.tag in ("V", "ic"):
         return op.inner.kind == "identity"
     return False
@@ -223,10 +191,8 @@ def _cancellation_verdict(domain, op, spec, fg_only: bool) -> Verdict:
         return holds("star-domain-cancellation", detail=sd.reason)
     if _induced_by_valuation_overring(op, domain):
         return holds("valuation-overring-ab")
-    if domain.family == "numsgr":
-        from .numsgr import enumerate_ideals
-
-        window = enumerate_ideals(domain.payload, 0, domain.payload.conductor + 2)
+    window = domain.engine.ideal_window()
+    if window is not None:
         ideals = [make_handle(domain, i) for i in window]
     else:
         ideals = probe_ideals(domain, spec, n=24, fg=fg_only)
@@ -271,9 +237,8 @@ QUASI_COHERENT = "QuasiCoherent"
 
 def _maps_into_chain(op: SemistarOp, domain: DomainHandle) -> bool:
     """True when every image of the operation is a module over a valuation
-    overring, so that images are totally ordered by inclusion."""
-    if domain.family == "valuation":
-        return True
+    overring, so that images are totally ordered by inclusion.  Valuation
+    domains never ask: coherence_check decides them first."""
     if op.kind == "st" and op.tag in ("V", "ic"):
         return True
     if op.kind == "desc" and op.tag in ("V", "ic"):
@@ -309,22 +274,7 @@ def _coherent_pair_witness(domain, op, e, f, pool) -> "Verdict":
 def landmark_pairs(domain: DomainHandle):
     """Canonical finitely generated integral pairs whose interplay the
     worked families hinge on."""
-    from . import dplusm
-
-    out = []
-    if domain.family == "pullback" and domain.payload.is_proper:
-        K = domain.payload.residue_ext
-        one = (1, 0) if domain.payload_group.kind == "ZxZ" else 1
-        md = make_handle(domain, dplusm.module_from_generators(domain.payload, [(K.one, one)]))
-        mxd = make_handle(domain, dplusm.module_from_generators(domain.payload, [(K.gen(), one)]))
-        out.append((md, mxd))
-    if domain.family == "numsgr" and len(domain.payload.generators) >= 3:
-        from .numsgr import ideal_normalize
-
-        s1, s2, s3 = domain.payload.generators[:3]
-        e = make_handle(domain, ideal_normalize(domain.payload, [s1, s2]))
-        f = make_handle(domain, ideal_normalize(domain.payload, [s1, s3]))
-        out.append((e, f))
+    out = [(make_handle(domain, e), make_handle(domain, f)) for e, f in domain.engine.landmark_pairs()]
     m = maximal_handle(domain)
     if m.finitely_generated:
         out.append((unit_handle(domain), m))
@@ -405,9 +355,7 @@ def _raw_quasi_maximals(op: SemistarOp, domain: DomainHandle):
     m = maximal_handle(domain)
     if quasi_star_ideal_check(op, m):
         return ("M",)
-    if domain.family == "valuation" and domain.payload_group.kind == "ZxZ":
-        return None
-    return ()
+    return () if domain.engine.spectrum_decidable else None
 
 
 def h_clauses(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> dict:
@@ -439,7 +387,7 @@ def h_clauses(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> dict:
         pass
 
     # clause: every nonzero prime with P^op = D^op has an fg subideal doing the same
-    if domain.family != "valuation" or domain.payload_group.kind != "ZxZ":
+    if domain.engine.spectrum_decidable:
         mstar = apply(op, m)
         if not handle_eq(mstar, dstar):
             out["prime-witness"] = holds("no-qualifying-prime", detail="the only nonzero prime does not close onto D^op")
@@ -505,7 +453,6 @@ def is_I_domain(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Verdi
 def is_star_noetherian(domain: DomainHandle, op: SemistarOp, chain_length: int = 8) -> Verdict:
     if "noetherian" in domain.capabilities:
         return holds("noetherian")
-    eng = domain.engine
     group = domain.payload_group
     from fractions import Fraction
 
@@ -518,15 +465,7 @@ def is_star_noetherian(domain: DomainHandle, op: SemistarOp, chain_length: int =
         cuts = [(1, -n) for n in range(1, chain_length + 1)]
     if not cuts:
         return unknown(0)
-    chain = []
-    for c in cuts:
-        if domain.family == "pullback":
-            from . import dplusm
-
-            payload = dplusm.canonical(domain.payload, (), Segment.closed(group, c))
-        else:
-            payload = Segment.closed(group, c)
-        chain.append(make_handle(domain, payload))
+    chain = [make_handle(domain, domain.engine.from_tail(Segment.closed(group, c))) for c in cuts]
     for h in chain:
         if not handle_is_integral(h) or not quasi_star_ideal_check(op, h):
             return unknown(len(chain), detail="standard ascending chain left the quasi-ideal class")

@@ -8,6 +8,7 @@ import json
 import sys
 
 from . import exprs, scenarios
+from .algebra.fields import AlgebraError
 from .verdict import SampleSpec
 
 
@@ -58,8 +59,9 @@ def main(argv=None) -> int:
             print("error: --expr needs --domain", file=sys.stderr)
             return 2
         with open(args.domain, encoding="utf-8") as fh:
-            domain = exprs.parse_domain(fh.read())
+            domain_text = fh.read()
         try:
+            domain = exprs.parse_domain(domain_text)
             ast = exprs.parse_expr(args.expr, domain)
             value = exprs.eval_expr(ast, domain)
         except exprs.ParseError as exc:
@@ -67,6 +69,9 @@ def main(argv=None) -> int:
             return 2
         except exprs.EvalError as exc:
             print(f"evaluation error: {exc}", file=sys.stderr)
+            return 2
+        except AlgebraError as exc:  # well-formed but meaningless: gcd 2, Fp:4, spec{X}
+            print(f"error: {exc}", file=sys.stderr)
             return 2
         print(repr(value))
         return 0

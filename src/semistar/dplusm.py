@@ -5,7 +5,7 @@ of elements whose coefficient at each value-group level lies in a prescribed
 k-subspace of K.  Being a D-module forces the shape "one proper jump at the
 minimal level, full K strictly above it" or "a plain segment of full-K
 levels", which is exactly what the canonical form stores.  Elements exist
-only as finite leading-term expansions inside the sampling oracles.
+only as finite leading-term expansions inside the test oracles.
 """
 
 from __future__ import annotations
@@ -334,102 +334,4 @@ def localize_at(seg: Segment, prime: DomainPrime) -> Segment:
     return Segment.closed(out_group, first)
 
 
-# -- element expansions (sampling oracles only) -------------------------------
-
-def exp_normalize(domain: PullbackDomain, terms) -> tuple:
-    K = domain.residue_ext
-    group = domain.group
-    acc = {}
-    for c, g in terms:
-        g = group.coerce(g)
-        acc[g] = K.add(acc.get(g, K.zero), c)
-    out = [(g, c) for g, c in acc.items() if not K.is_zero(c)]
-    out.sort(key=lambda t: t[0])
-    return tuple(out)
-
-
-def exp_add(domain, x, y):
-    return exp_normalize(domain, [(c, g) for g, c in x] + [(c, g) for g, c in y])
-
-
-def exp_mul(domain, x, y):
-    K = domain.residue_ext
-    group = domain.group
-    terms = []
-    for g1, c1 in x:
-        for g2, c2 in y:
-            terms.append((K.mul(c1, c2), group.add(g1, g2)))
-    return exp_normalize(domain, terms)
-
-
-def exp_member(m: LeveledModule, x) -> bool:
-    """Greedy leading-term elimination: strip terms lowest level first, each
-    coefficient must reduce inside the module's space at its level."""
-    remaining = list(x)
-    while remaining:
-        g, c = remaining[0]
-        if not space_at(m, g).contains_vector(c):
-            return False
-        remaining = remaining[1:]
-    return True
-
-
-def random_domain_element(domain: PullbackDomain, rng, terms=3, window=4):
-    """A random element of D = k + M as a finite expansion."""
-    K = domain.residue_ext
-    group = domain.group
-    base = K.base
-    out = [(K.embed(base.rand(rng, 4)), group.zero)]
-    for _ in range(rng.randint(0, terms)):
-        g = group.rand(rng, window)
-        while not group.lt(group.zero, g):
-            g = group.rand(rng, window)
-        out.append((K.rand(rng, 4), g))
-    return exp_normalize(domain, [(c, g) for c, g in out])
-
-
-def random_module_element(m: LeveledModule, rng, terms=3, window=4):
-    """A random member of m, built from monomials the module provably holds."""
-    K = m.domain.residue_ext
-    group = m.domain.group
-    picks = []
-    j = m.jump()
-    if j is not None and rng.random() < 0.7:
-        g, w = j
-        c = K.zero
-        for row in w.rows:
-            c = K.add(c, K.scalar_mul(K.base.rand(rng, 4), row))
-        if not K.is_zero(c):
-            picks.append((c, g))
-    cut_probe = 0
-    while len(picks) < 1 + rng.randint(0, terms):
-        if m.tail.is_whole():
-            g = group.rand(rng, window)
-        elif m.tail.shape == "closed":
-            g = group.add(m.tail.cut, _small_nonneg(group, rng, window))
-        else:
-            g = group.add(m.tail.cut, _small_positive(group, rng, window))
-        picks.append((K.rand_nonzero(rng, 4), g))
-        cut_probe += 1
-        if cut_probe > 20:
-            break
-    return exp_normalize(m.domain, picks)
-
-
-def _small_nonneg(group, rng, window):
-    g = group.rand(rng, window)
-    zero = group.zero
-    if group.lt(g, zero):
-        g = group.neg(g)
-    return g
-
-
 SAMPLE_ATTEMPTS = 1000  # rejection-sampling cap; a hit raises instead of hanging
-
-
-def _small_positive(group, rng, window):
-    for _ in range(SAMPLE_ATTEMPTS):
-        g = _small_nonneg(group, rng, window)
-        if group.lt(group.zero, g):
-            return g
-    raise AlgebraError(f"no positive sample in {SAMPLE_ATTEMPTS} attempts")

@@ -62,6 +62,7 @@ _GROUP_NAMES = {"Z": "Z", "Q": "Q", "ZxZ_lex": "ZxZ"}
 
 def parse_domain(text: str) -> DomainHandle:
     fields = {}
+    at = {}  # key -> position of its value
     for tok in text.split():
         if "=" not in tok:
             raise ParseError(text, text.find(tok), "key=value")
@@ -71,6 +72,7 @@ def parse_domain(text: str) -> DomainHandle:
         if key in fields:
             raise ParseError(text, text.find(tok), f"a single {key}")
         fields[key] = val
+        at[key] = text.find(tok) + len(key) + 1
     family = fields.pop("family", None)
     if family == "numsgr":
         gens = fields.pop("generators", None)
@@ -78,7 +80,8 @@ def parse_domain(text: str) -> DomainHandle:
             raise ParseError(text, 0, f"no keys besides generators, got {sorted(fields)}")
         if not (gens and gens.startswith("[") and gens.endswith("]")):
             raise ParseError(text, 0, "generators=[n,...]")
-        values = [int(v) for v in gens[1:-1].split(",") if v]
+        expected = "generators=[n,...] of integers"
+        values = [_int(v, text, at["generators"], expected) for v in gens[1:-1].split(",") if v]
         name = "numsgr<" + ",".join(str(v) for v in sorted(set(values))) + ">"
         return semigroup_domain(values, name)
     if family in ("pullback", "valuation"):
@@ -89,12 +92,12 @@ def parse_domain(text: str) -> DomainHandle:
             raise ParseError(text, 0, f"no extra keys, got {sorted(fields)}")
         if group_txt not in _GROUP_NAMES:
             raise ParseError(text, 0, "group=Z|Q|ZxZ_lex")
-        base = _parse_base_field(base_txt, text)
+        base = _parse_base_field(base_txt, text, at.get("base_field", 0))
         if ext_txt is None:
             ext = ExtensionField(base, [base.zero, base.one])
             ext_name = repr(base)
         else:
-            ext = ExtensionField(base, _parse_poly(ext_txt, base))
+            ext = ExtensionField(base, _parse_poly(ext_txt, base, text, at["extension"]))
             ext_name = f"{base!r}[a]/({ext_txt})"
         name = f"{family}({ext_name}; {group_txt})"
         maker = pullback_domain if family == "pullback" else valuation_domain
@@ -102,34 +105,44 @@ def parse_domain(text: str) -> DomainHandle:
     raise ParseError(text, 0, "family=numsgr|pullback|valuation")
 
 
-def _parse_base_field(txt: str, ctx: str):
+def _int(txt: str, ctx: str, pos: int, expected: str) -> int:
+    try:
+        return int(txt)
+    except ValueError:
+        raise ParseError(ctx, pos, expected) from None
+
+
+def _parse_base_field(txt: str, ctx: str, pos: int):
     if txt == "Q":
         return Rationals()
     if txt.startswith("Fp:"):
-        return PrimeField(int(txt[3:]))
+        return PrimeField(_int(txt[3:], ctx, pos + 3, "an integer p after Fp:"))
     raise ParseError(ctx, 0, "base_field=Q|Fp:<p>")
 
 
-def _parse_poly(txt: str, base):
+def _parse_poly(txt: str, base, ctx: str, pos: int):
     """A polynomial in a over the base field, e.g. a^2-2, to coefficients."""
     coeffs = {}
     s = txt.replace("-", "+-").replace(" ", "")
-    for term in s.split("+"):
-        if not term:
-            continue
-        sign = 1
-        if term.startswith("-"):
-            sign = -1
-            term = term[1:]
-        if "a" in term:
-            head, _, tail = term.partition("a")
-            c = Fraction(head.rstrip("*")) if head.rstrip("*") else Fraction(1)
-            power = int(tail[1:]) if tail.startswith("^") else 1
-        else:
-            c = Fraction(term)
-            power = 0
-        coeffs[power] = coeffs.get(power, Fraction(0)) + sign * c
-    deg = max(coeffs)
+    try:
+        for term in s.split("+"):
+            if not term:
+                continue
+            sign = 1
+            if term.startswith("-"):
+                sign = -1
+                term = term[1:]
+            if "a" in term:
+                head, _, tail = term.partition("a")
+                c = Fraction(head.rstrip("*")) if head.rstrip("*") else Fraction(1)
+                power = int(tail[1:]) if tail.startswith("^") else 1
+            else:
+                c = Fraction(term)
+                power = 0
+            coeffs[power] = coeffs.get(power, Fraction(0)) + sign * c
+        deg = max(coeffs)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(ctx, pos, "a polynomial in a with rational coefficients, e.g. a^2-2") from None
     return [base.coerce(coeffs.get(i, 0)) for i in range(deg + 1)]
 
 
@@ -192,6 +205,7 @@ class _Parser:
     def __init__(self, text: str, domain: DomainHandle):
         self.text = text
         self.domain = domain
+        self.K = domain.engine.K  # coefficient field; None for bare monomials x^n
         self.i = 0
 
     def error(self, expected: str):
@@ -269,7 +283,7 @@ class _Parser:
         name = self._ident()
         nxt = self.peek()
         if name in ("D", "M", "V") and nxt not in ("(", "["):
-            if name == "V" and self.domain.family == "numsgr":
+            if name == "V" and not self.domain.engine.overring_atom:
                 self.error("an ideal atom valid for this family ('V' needs a valuation overring)")
             return Atom(name)
         if name in ("v", "t", "w", "inv") and nxt == "(":
@@ -323,7 +337,7 @@ class _Parser:
         return GenIdeal(tuple(gens))
 
     def generator(self):
-        if self.domain.family == "numsgr":
+        if self.K is None:
             self.skip_ws()
             if not self.text.startswith("x^", self.i):
                 self.error("x^<n>")
@@ -342,10 +356,7 @@ class _Parser:
         self.i += 2
         level = self.level_value()
         self.take(")")
-        K = _residue_ext(self.domain)
-        if coeff is None:
-            coeff = K.one
-        return (coeff, level)
+        return (self.K.one if coeff is None else coeff, level)
 
     def integer(self):
         self.skip_ws()
@@ -377,37 +388,33 @@ class _Parser:
 
     # coefficient arithmetic in the extension field, ordinary precedence
     def coeff_expr(self):
-        K = _residue_ext(self.domain)
         node = self.coeff_term()
         while self.peek() in "+-":
             ch = self.peek()
             self.i += 1
             rhs = self.coeff_term()
-            node = K.add(node, rhs) if ch == "+" else K.sub(node, rhs)
+            node = self.K.add(node, rhs) if ch == "+" else self.K.sub(node, rhs)
         return node
 
     def coeff_term(self):
-        K = _residue_ext(self.domain)
         node = self.coeff_factor()
         while self.peek() == "*" and not self.text.startswith("*t(", self.i):
             self.i += 1
-            node = K.mul(node, self.coeff_factor())
+            node = self.K.mul(node, self.coeff_factor())
         return node
 
     def coeff_factor(self):
-        K = _residue_ext(self.domain)
         base = self.coeff_atom()
         if self.peek() == "^":
             self.i += 1
             n = self.integer()
-            out = K.one
+            out = self.K.one
             for _ in range(n):
-                out = K.mul(out, base)
+                out = self.K.mul(out, base)
             return out
         return base
 
     def coeff_atom(self):
-        K = _residue_ext(self.domain)
         ch = self.peek()
         if ch == "(":
             self.i += 1
@@ -416,18 +423,10 @@ class _Parser:
             return node
         if ch == "a":
             self.i += 1
-            return K.gen()
+            return self.K.gen()
         if ch == "-" or ch.isdigit():
-            return K.embed(self.rational())
+            return self.K.embed(self.rational())
         self.error("a coefficient")
-
-
-def _residue_ext(domain: DomainHandle):
-    if domain.family == "pullback":
-        return domain.payload.residue_ext
-    if domain.family == "valuation":
-        return domain.payload.residue_ext
-    raise AlgebraError("no coefficient field in this family")
 
 
 def parse_expr(text: str, domain: DomainHandle):
@@ -444,11 +443,7 @@ def print_expr(node, domain: DomainHandle, _prec=0) -> str:
     if isinstance(node, Atom):
         return node.name
     if isinstance(node, GenIdeal):
-        if domain.family == "numsgr":
-            return "<" + ", ".join(f"x^{g}" for g in node.gens) + ">"
-        K = _residue_ext(domain)
-        group = domain.payload_group
-        return "<" + ", ".join(f"{K.fmt(c)}*t({group.fmt(g)})" for c, g in node.gens) + ">"
+        return domain.engine.fmt_gens(node.gens)
     if isinstance(node, Func):
         if node.op == "inv":
             head = "inv"
@@ -502,22 +497,7 @@ def _eval(node, domain: DomainHandle) -> IdealHandle:
             return maximal_handle(domain)
         return domain.overring_unit
     if isinstance(node, GenIdeal):
-        if domain.family == "numsgr":
-            from .numsgr import ideal_normalize
-
-            return make_handle(domain, ideal_normalize(domain.payload, node.gens))
-        if domain.family == "pullback":
-            from .dplusm import module_from_generators
-
-            return make_handle(domain, module_from_generators(domain.payload, list(node.gens)))
-        from .algebra.groups import Segment, segment_union
-
-        group = domain.payload_group
-        out = None
-        for _, level in node.gens:
-            seg = Segment.closed(group, level)
-            out = seg if out is None else segment_union(out, seg)
-        return make_handle(domain, out)
+        return make_handle(domain, domain.engine.regenerate(node.gens))
     if isinstance(node, Func):
         arg = eval_expr(node.arg, domain)
         if node.op == "inv":

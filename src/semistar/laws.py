@@ -32,13 +32,6 @@ def _scale(h, scalar):
     return make_handle(h.domain, h.domain.engine.scale(h.payload, scalar))
 
 
-def _project_scalar(domain: DomainHandle, image_domain: DomainHandle, scalar):
-    if domain == image_domain:
-        return scalar
-    # lex-group scalar projected to the coarsened first coordinate
-    return scalar[0] if isinstance(scalar, tuple) and not isinstance(scalar[0], tuple) else scalar
-
-
 def check_axioms(domain: DomainHandle, op: SemistarOp, spec: SampleSpec, count=None):
     failures = []
     rng = spec.rng(f"axioms/{domain.name}/{op!r}")
@@ -55,7 +48,8 @@ def check_axioms(domain: DomainHandle, op: SemistarOp, spec: SampleSpec, count=N
             continue
         # homogeneity (x E)^op = x E^op
         lhs = apply(op, _scale(e, x))
-        rhs = _scale(image, _project_scalar(domain, image.domain, x))
+        # an image over a spectral localization is scaled by the projected scalar
+        rhs = _scale(image, x if image.domain == domain else eng.localize_scalar(x))
         if not handle_eq(lhs, rhs):
             failures.append(f"#{k}: homogeneity failed at {e!r} with scalar {x!r}")
         # monotonicity

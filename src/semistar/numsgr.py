@@ -193,87 +193,3 @@ def enumerate_ideals(ring: NumericalSemigroup, lo: int, hi: int):
 
     extend([], 0)
     return out
-
-
-# ---------------------------------------------------------------------------
-# independent bitmask oracle (used by the test suite, exposed for reuse)
-
-class BitsetOracle:
-    """Value sets as bitmasks on a fixed window [offset, offset + width).
-
-    Bit i of a mask stands for the value offset + i.  Operations are plain
-    set arithmetic on the masks, independent of the generator-level
-    normalize/colon algebra above.  Every mask fed to mul/colon must end in
-    an all-ones run longer than the conductor (tail_ok), which makes the
-    off-window behaviour determined.
-    """
-
-    def __init__(self, ring: NumericalSemigroup, offset: int, width: int):
-        self.ring = ring
-        self.offset = offset
-        self.width = width
-        self.window_mask = (1 << width) - 1
-
-    def expand(self, gens) -> int:
-        out = 0
-        for i in range(self.width):
-            v = self.offset + i
-            if any(self.ring.member(v - g) for g in gens):
-                out |= 1 << i
-        return out
-
-    def tail_ok(self, x: int) -> bool:
-        run = self.ring.conductor + 1
-        high = ((1 << run) - 1) << (self.width - run)
-        return (x & high) == high
-
-    def _shifted(self, x: int, s: int) -> int:
-        """Mask whose bit j answers: is the value at bit j+s in x, where bits
-        above the window count as present (tail_ok required on x)."""
-        if s >= self.width:
-            return self.window_mask
-        if s >= 0:
-            fill = self.window_mask & ~((1 << (self.width - s)) - 1)
-            return ((x >> s) | fill) & self.window_mask
-        return (x << -s) & self.window_mask
-
-    def sum(self, x: int, y: int) -> int:
-        return (x | y) & self.window_mask
-
-    def mul(self, x: int, y: int) -> int:
-        """Minkowski sum of value sets; operands must vanish below value 0."""
-        if self.offset < 0:
-            low = -self.offset
-            if (x & ((1 << low) - 1)) or (y & ((1 << low) - 1)):
-                raise AlgebraError("oracle mul needs nonnegative value sets")
-        out = 0
-        for i in range(self.width):
-            if x >> i & 1:
-                out |= y << (self.offset + i) if self.offset + i >= 0 else y >> -(self.offset + i)
-        return out & self.window_mask
-
-    def intersect(self, x: int, y: int) -> int:
-        return x & y
-
-    def colon(self, x: int, y: int) -> int:
-        """{z : z + y inside x} on the window; x and y must be tail_ok."""
-        out = self.window_mask
-        top = self.offset + self.width
-        for w in range(self.offset, top):
-            if y >> (w - self.offset) & 1:
-                out &= self._shifted(x, w)
-        # values of y beyond the window (present by tail_ok) still constrain
-        # window positions when the window extends below zero
-        for w in range(top, self.width):
-            out &= self._shifted(x, w)
-        return out
-
-    def minimal_generators(self, mask: int):
-        gens = []
-        for i in range(self.width):
-            if not (mask >> i & 1):
-                continue
-            v = self.offset + i
-            if not any(self.ring.member(v - g) for g in gens):
-                gens.append(v)
-        return tuple(gens)

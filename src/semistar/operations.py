@@ -1,9 +1,28 @@
 """Semistar operation terms and their exact evaluators.
 
 An operation is a closed term over {identity, v, overring extension,
-spectral, finite-type, stable, tilde, ascent, descent}.  Evaluation is
-family-specific but routed through a small engine protocol so that the
-predicate layer never needs to know which domain it is talking to.
+spectral, finite-type, stable, tilde, ascent, descent}.  Evaluation and the
+predicate layer are written once for every domain.  The family only decides
+how an ideal is stored, and that belongs to the engine of a DomainHandle;
+only the engine table (`DomainHandle.engine`) and `exprs.parse_domain` read
+the family string.  The three engines expose the same names, duck-typed:
+
+- payload arithmetic (`add`, `colon`, `v`, `extend`, `scale`, `leq`, ...);
+- generator lists: `fg_witness(a)` gives one, `regenerate(gens)` builds the
+  payload (also from a parsed list), `fmt_gens(gens)` spells it for `fmt`
+  and `exprs.print_expr`, and `K` is the coefficient field, None for bare
+  monomials;
+- sampling: `sample_*`, `proper_subideal_samples` (raises where no cofinal
+  family below M is certified), `ideal_window()` (every small ideal, or
+  None), `landmark_pairs()`;
+- facts: `capabilities`, `overring_atom` (V is a parser atom and a probe
+  landmark), `homogeneous` (every ideal is x D or x M, so D and M decide an
+  operation), `spectrum_decidable` (M is the only prime to test);
+- the overring: `overring(dom)`, `to_overring(e, over)`, `from_overring`;
+- localization at P1, rank-2 valuation engine only: `localized(dom)`, and
+  `localize` / `localize_scalar` project a payload and a scalar;
+- the segment view of valuation and pullback payloads: `tail(a)` of a
+  payload without a jump, `hull(a)` = a V, and `from_tail(seg)`.
 
 Whenever no exact evaluator exists the evaluator raises
 UnsupportedOperation; nothing is ever silently approximated.
@@ -11,6 +30,7 @@ UnsupportedOperation; nothing is ever silently approximated.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -151,13 +171,6 @@ def known_stable(op: SemistarOp, domain: "DomainHandle") -> bool:
 # ---------------------------------------------------------------------------
 # domain and ideal handles
 
-CAPABILITIES = {
-    "numsgr": frozenset({"noetherian", "local", "all_fg"}),
-    "pullback": frozenset({"local"}),
-    "valuation": frozenset({"local", "valuation", "all_ops_stable", "integrally_closed"}),
-}
-
-
 @dataclass(frozen=True)
 class DomainHandle:
     family: str  # "numsgr" | "pullback" | "valuation"
@@ -166,15 +179,7 @@ class DomainHandle:
 
     @cached_property
     def capabilities(self) -> frozenset:
-        caps = set(CAPABILITIES[self.family])
-        if self.family in ("pullback", "valuation"):
-            if self.payload_group.discrete:
-                caps.add("all_fg")
-                if self.payload_group.kind == "Z":
-                    caps.add("noetherian")
-        if self.family == "pullback" and not self.payload.is_proper:
-            caps.update(CAPABILITIES["valuation"])
-        return frozenset(caps)
+        return self.engine.capabilities
 
     @property
     def payload_group(self) -> ValueGroup:
@@ -182,11 +187,7 @@ class DomainHandle:
 
     @cached_property
     def engine(self):
-        if self.family == "numsgr":
-            return _NumsgrEngine(self.payload)
-        if self.family == "pullback":
-            return _PullbackEngine(self.payload)
-        return _ValuationEngine(self.payload)
+        return _ENGINES[self.family](self.payload)
 
     # landmark ideals and per-operation facts: built on first use, then kept
     @cached_property
@@ -205,16 +206,12 @@ class DomainHandle:
     @cached_property
     def overring(self) -> "DomainHandle":
         """The overring V (the hull of a semigroup ring) as a domain of its own."""
-        if self.family == "numsgr":
-            return semigroup_domain([1], name=f"{self.name}^hull")
-        if self.family == "pullback":
-            return DomainHandle("valuation", self.payload.valuation, name=f"{self.name}^V")
-        return self
+        return self.engine.overring(self)
 
     @cached_property
     def localized(self) -> "DomainHandle":
         """The localization at the coarsening prime P1 of the rank-2 lex instance."""
-        return valuation_domain(self.payload.residue_ext, "Z", name=f"{self.name}@P1")
+        return self.engine.localized(self)
 
     @cached_property
     def verified(self) -> weakref.WeakSet:
@@ -314,16 +311,8 @@ def handle_inverse(a: IdealHandle) -> IdealHandle:
 def handle_leq(a: IdealHandle, b: IdealHandle) -> bool:
     if a.domain == b.domain:
         return a.domain.engine.leq(a.payload, b.payload)
-    # mixed comparison across a spectral localization: compare against the
-    # preimage of the projected segment
-    pa, pb = a.payload, b.payload
-    if isinstance(pa, Segment) and isinstance(pb, Segment) and pb.group.kind == "Z" and pa.group.kind == "ZxZ":
-        if pa.shape == "empty" or pb.shape == "whole":
-            return True
-        if pa.shape == "whole" or pb.shape == "empty":
-            return False
-        return pa.cut[0] >= pb.cut
-    raise AlgebraError("handles over incomparable domains")
+    # mixed comparison across a spectral localization: localize a first
+    return a.domain.engine.localize(a.payload).leq(b.payload)
 
 
 def handle_eq(a: IdealHandle, b: IdealHandle) -> bool:
@@ -339,8 +328,60 @@ def handle_is_integral(a: IdealHandle) -> bool:
 # ---------------------------------------------------------------------------
 # engines
 
+def _group_capabilities(group: ValueGroup) -> frozenset:
+    if not group.discrete:
+        return frozenset()
+    return frozenset({"all_fg", "noetherian"} if group.kind == "Z" else {"all_fg"})
+
+
+_VALUATION_CAPABILITIES = frozenset({"local", "valuation", "all_ops_stable", "integrally_closed"})
+
+
+def _no_coarsening_prime(self, *_):
+    raise UnsupportedOperation("coarsening primes exist only on the rank-2 valuation instance")
+
+
+def _incomparable(self, a):
+    raise AlgebraError("handles over incomparable domains")
+
+
+def _fmt_monomials(self, gens) -> str:
+    return "<" + ", ".join(f"{self.K.fmt(c)}*t({self.group.fmt(g)})" for c, g in gens) + ">"
+
+
+def _fmt_segment_payload(self, a) -> str:
+    witness = self.fg_witness(a)
+    if witness is not None:
+        return self.fmt_gens(witness)
+    tail = self.tail(a)
+    return "K" if tail.is_whole() else f"t({self.group.fmt(tail.cut)})*M"
+
+
+def _no_ideal_window(self):
+    return None
+
+
+def _level_one(group: ValueGroup):
+    return (1, 0) if group.kind == "ZxZ" else group.coerce(1)
+
+
+def _positive_levels(group: ValueGroup, rng):
+    """Up to four seeded positive levels: a draw that is not positive is
+    reflected and moved up by one."""
+    for _ in range(4):
+        g = group.rand(rng, 5)
+        if not group.lt(group.zero, g):
+            g = group.add(group.neg(g), _level_one(group))
+        if group.lt(group.zero, g):
+            yield g
+
+
 class _NumsgrEngine:
-    family = "numsgr"
+    capabilities = frozenset({"noetherian", "local", "all_fg"})
+    K = None  # monomial ideals never see the coefficient field
+    overring_atom = False  # the hull K[[x]] is neither an atom nor a landmark
+    homogeneous = False
+    spectrum_decidable = True
 
     def __init__(self, ring: NumericalSemigroup):
         self.ring = ring
@@ -367,9 +408,7 @@ class _NumsgrEngine:
         return numsgr.v_closure(a)
 
     def extend(self, tag, a):
-        if tag in ("V", "ic"):
-            return numsgr.hull_extension(a)
-        raise UnsupportedOperation("the full quotient field of a semigroup ring is not representable")
+        return numsgr.hull_extension(a) if tag in ("V", "ic") else self.whole()
 
     def whole(self):
         raise UnsupportedOperation("the full quotient field of a semigroup ring is not representable")
@@ -402,26 +441,65 @@ class _NumsgrEngine:
         vals = [rng.randint(lo, hi) for _ in range(n)]
         return numsgr.ideal_normalize(self.ring, vals)
 
-    def sample_fg_ideal(self, rng, spec, integral=False):
-        return self.sample_ideal(rng, spec, integral)
+    sample_fg_ideal = sample_ideal  # every monomial ideal is finitely generated
 
     def proper_subideal_samples(self, rng):
-        m = self.maximal()
-        out = []
-        for g in self.ring.generators[:2]:
-            out.append(numsgr.ideal_shift(m, g))
-        return out
+        raise UnsupportedOperation("no certified cofinal family below M for this ring")
+
+    def ideal_window(self):
+        return numsgr.enumerate_ideals(self.ring, 0, self.ring.conductor + 2)
+
+    def landmark_pairs(self):
+        if len(self.ring.generators) < 3:
+            return []
+        s1, s2, s3 = self.ring.generators[:3]
+        return [(numsgr.ideal_normalize(self.ring, [s1, s2]), numsgr.ideal_normalize(self.ring, [s1, s3]))]
+
+    def overring(self, dom):
+        return semigroup_domain([1], name=f"{dom.name}^hull")
+
+    def to_overring(self, e, over):
+        if numsgr.hull_extension(e.payload) != e.payload:
+            raise UnsupportedOperation("not an ideal of the overring")
+        return make_handle(over, numsgr.ideal_normalize(over.payload, [min(e.payload.gens)]))
+
+    def from_overring(self, dom, h):
+        return make_handle(dom, numsgr.hull_extension(numsgr.ideal_shift(self.unit(), min(h.payload.gens))))
+
+    localized = localize_scalar = _no_coarsening_prime
+    localize = _incomparable  # reached only by comparing handles of two domains
+
+    def tail(self, a):
+        raise UnsupportedOperation("semigroup-ring ideals have no segment view")
+
+    hull = from_tail = tail
+
+    def fmt_gens(self, gens) -> str:
+        return "<" + ", ".join(f"x^{g}" for g in gens) + ">"
 
     def fmt(self, a) -> str:
-        return "<" + ", ".join(f"x^{g}" for g in a.gens) + ">"
+        return self.fmt_gens(a.gens)
 
 
 class _ValuationEngine:
-    family = "valuation"
+    overring_atom = True
+    homogeneous = True  # every segment is a shift of the unit or the maximal ideal
 
     def __init__(self, vd: ValuationDomain):
         self.vd = vd
         self.group = vd.group
+
+    @cached_property
+    def capabilities(self) -> frozenset:
+        return _VALUATION_CAPABILITIES | _group_capabilities(self.group)
+
+    @property
+    def K(self):
+        return self.vd.residue_ext
+
+    @property
+    def spectrum_decidable(self) -> bool:
+        return self.group.kind != "ZxZ"  # rank 2 has a second nonzero prime
 
     def unit(self):
         return self.vd.unit_segment()
@@ -449,9 +527,7 @@ class _ValuationEngine:
         return self.colon(d, self.colon(d, a))
 
     def extend(self, tag, a):
-        if tag in ("V", "ic"):
-            return a  # integrally closed; V is the ring itself
-        return Segment.whole(self.group)
+        return a if tag in ("V", "ic") else self.whole()  # integrally closed; V is the ring itself
 
     def whole(self):
         return Segment.whole(self.group)
@@ -470,11 +546,11 @@ class _ValuationEngine:
 
     def fg_witness(self, a):
         if a.shape == "closed":
-            return (a.cut,)
+            return ((self.K.one, a.cut),)
         return None
 
     def regenerate(self, witness):
-        cuts = [self.group.coerce(c) for c in witness]
+        cuts = [self.group.coerce(c) for _, c in witness]  # units of V drop out
         out = Segment.closed(self.group, cuts[0])
         for c in cuts[1:]:
             out = segment_union(out, Segment.closed(self.group, c))
@@ -499,32 +575,62 @@ class _ValuationEngine:
         return s
 
     def proper_subideal_samples(self, rng):
-        g = self.group
-        out = []
-        for _ in range(4):
-            cut = g.rand(rng, 5)
-            zero = g.zero
-            if not g.lt(zero, cut):
-                cut = g.add(g.neg(cut), g.coerce(1) if g.kind != "ZxZ" else (1, 0))
-            if g.lt(zero, cut):
-                out.append(Segment.closed(g, cut))
-        return out
+        return [Segment.closed(self.group, g) for g in _positive_levels(self.group, rng)]
 
-    def fmt(self, a) -> str:
-        if a.is_whole():
-            return "K"
-        if a.shape == "closed":
-            return f"<1*t({self.group.fmt(a.cut)})>"
-        return f"t({self.group.fmt(a.cut)})*M"
+    ideal_window = _no_ideal_window
+
+    def landmark_pairs(self):
+        return []
+
+    def overring(self, dom):
+        return dom
+
+    def to_overring(self, e, over):
+        return e
+
+    def from_overring(self, dom, h):
+        return h
+
+    def localized(self, dom):
+        if self.group.kind == "Z":
+            return dom  # the localized domain is its own localization
+        if self.group.kind != "ZxZ":
+            raise UnsupportedOperation("spectral localization needs the rank-2 lex group")
+        return valuation_domain(self.vd.residue_ext, "Z", name=f"{dom.name}@P1")
+
+    def localize(self, a):
+        """Project a lex-group payload to the localization at P1."""
+        return dplusm.localize_at(a, DomainPrime(self.vd))
+
+    def localize_scalar(self, scalar):
+        return scalar[0]  # the coarsened first coordinate
+
+    def tail(self, a):
+        return a
+
+    hull = from_tail = tail
+
+    fmt_gens = _fmt_monomials
+    fmt = _fmt_segment_payload
 
 
 class _PullbackEngine:
-    family = "pullback"
+    overring_atom = True
+    homogeneous = False
+    spectrum_decidable = True
 
     def __init__(self, pd: PullbackDomain):
         self.pd = pd
         self.group = pd.group
-        self.K = pd.residue_ext
+
+    @cached_property
+    def capabilities(self) -> frozenset:
+        caps = frozenset({"local"}) | _group_capabilities(self.group)
+        return caps if self.pd.is_proper else caps | _VALUATION_CAPABILITIES
+
+    @property
+    def K(self):
+        return self.pd.residue_ext
 
     def unit(self):
         return dplusm.unit_module(self.pd)
@@ -548,9 +654,7 @@ class _PullbackEngine:
         return dplusm.v_closure_pullback(a)
 
     def extend(self, tag, a):
-        if tag in ("V", "ic"):
-            return dplusm.extend_to_V(a)
-        return dplusm.whole_module(self.pd)
+        return dplusm.extend_to_V(a) if tag in ("V", "ic") else self.whole()
 
     def whole(self):
         return dplusm.whole_module(self.pd)
@@ -572,12 +676,13 @@ class _PullbackEngine:
         return dplusm.fg_witness(a)
 
     def regenerate(self, witness):
-        return dplusm.module_from_generators(self.pd, [(c, g) for c, g in witness])
+        return dplusm.module_from_generators(self.pd, list(witness))
 
     def sample_scalar(self, rng, spec):
         return (self.K.rand_nonzero(rng, 4), self.group.rand(rng, spec.value_window, spec.denominator_bound))
 
     def sample_ideal(self, rng, spec, integral=False):
+        K = self.K
         roll = rng.random()
         level = self.group.rand(rng, spec.value_window, spec.denominator_bound)
         zero = self.group.zero
@@ -589,7 +694,7 @@ class _PullbackEngine:
         if roll < 0.55:
             gens = []
             for _ in range(rng.randint(1, spec.generator_bound)):
-                gens.append((self.K.rand_nonzero(rng, 4), level))
+                gens.append((K.rand_nonzero(rng, 4), level))
             return dplusm.module_from_generators(self.pd, gens)
         shape = "closed" if (roll < 0.8 or self.group.discrete) else "open"
         return dplusm.canonical(self.pd, (), Segment.make(self.group, shape, level))
@@ -603,25 +708,51 @@ class _PullbackEngine:
 
     def proper_subideal_samples(self, rng):
         out = []
-        one = self.K.one
-        for _ in range(4):
-            g = self.group.rand(rng, 5)
-            zero = self.group.zero
-            if not self.group.lt(zero, g):
-                g = self.group.add(self.group.neg(g), self.group.coerce(1) if self.group.kind != "ZxZ" else (1, 0))
-            if self.group.lt(zero, g):
-                out.append(dplusm.module_from_generators(self.pd, [(one, g)]))
-                out.append(dplusm.canonical(self.pd, (), Segment.closed(self.group, g)))
+        for g in _positive_levels(self.group, rng):
+            out.append(dplusm.module_from_generators(self.pd, [(self.K.one, g)]))
+            out.append(self.from_tail(Segment.closed(self.group, g)))
         return out
 
-    def fmt(self, a) -> str:
-        w = dplusm.fg_witness(a)
-        if w is not None:
-            gens = ", ".join(f"{self.K.fmt(c)}*t({self.group.fmt(g)})" for c, g in w)
-            return f"<{gens}>"
-        if a.tail.is_whole():
-            return "K"
-        return f"t({self.group.fmt(a.tail.cut)})*M"
+    ideal_window = _no_ideal_window
+
+    def landmark_pairs(self):
+        """M D against M (x D): the two principal ideals at level one that
+        the residue extension k in K tells apart."""
+        if not self.pd.is_proper:
+            return []
+        one = _level_one(self.group)
+        return [tuple(dplusm.module_from_generators(self.pd, [(c, one)]) for c in (self.K.one, self.K.gen()))]
+
+    def overring(self, dom):
+        return DomainHandle("valuation", self.pd.valuation, name=f"{dom.name}^V")
+
+    def to_overring(self, e, over):
+        if e.payload.jumps:
+            raise UnsupportedOperation("not an ideal of the overring")
+        return make_handle(over, e.payload.tail)
+
+    def from_overring(self, dom, h):
+        return make_handle(dom, self.from_tail(h.payload))
+
+    localized = localize_scalar = _no_coarsening_prime
+    localize = _incomparable  # reached only by comparing handles of two domains
+
+    def tail(self, a):
+        if a.jumps:
+            raise ConsistencyError("finitely generated module slipped past the shortcut")
+        return a.tail
+
+    def hull(self, a):
+        return dplusm._hull(a)
+
+    def from_tail(self, seg):
+        return dplusm.canonical(self.pd, (), seg)
+
+    fmt_gens = _fmt_monomials
+    fmt = _fmt_segment_payload
+
+
+_ENGINES = {"numsgr": _NumsgrEngine, "pullback": _PullbackEngine, "valuation": _ValuationEngine}
 
 
 # ---------------------------------------------------------------------------
@@ -654,17 +785,13 @@ def apply(op: SemistarOp, e: IdealHandle) -> IdealHandle:
 
 
 def _spectral_apply(op: SemistarOp, e: IdealHandle) -> IdealHandle:
-    dom = e.domain
     if op.tag == "M":
         return e  # localization at the maximal ideal of a local domain
-    if dom.family != "valuation":
-        raise UnsupportedOperation("coarsening primes exist only on the rank-2 valuation instance")
-    if dom.payload_group.kind == "Z":
+    dom = e.domain
+    over = dom.localized  # raises unless the domain has a coarsening prime
+    if over is dom:
         return e  # already living over the localized domain
-    if dom.payload_group.kind != "ZxZ":
-        raise UnsupportedOperation("spectral localization needs the rank-2 lex group")
-    prime = DomainPrime(dom.payload)
-    return make_handle(dom.localized, dplusm.localize_at(e.payload, prime))
+    return make_handle(over, dom.engine.localize(e.payload))
 
 
 def _overring_domain(dom: DomainHandle, tag: str) -> DomainHandle:
@@ -673,48 +800,24 @@ def _overring_domain(dom: DomainHandle, tag: str) -> DomainHandle:
     return dom.overring
 
 
-def _to_overring_handle(e: IdealHandle, tag: str) -> IdealHandle:
-    dom = e.domain
-    over = _overring_domain(dom, tag)
-    if dom.family == "numsgr":
-        if numsgr.hull_extension(e.payload) != e.payload:
-            raise UnsupportedOperation("not an ideal of the overring")
-        return make_handle(over, numsgr.ideal_normalize(over.payload, [min(e.payload.gens)]))
-    if dom.family == "pullback":
-        m = e.payload
-        if m.jumps:
-            raise UnsupportedOperation("not an ideal of the overring")
-        return make_handle(over, m.tail)
-    return e
-
-
-def _from_overring_handle(dom: DomainHandle, h: IdealHandle, tag: str) -> IdealHandle:
-    if dom.family == "numsgr":
-        m = min(h.payload.gens)
-        ring = dom.payload
-        return make_handle(dom, numsgr.ideal_normalize(ring, range(m, m + ring.conductor + 1)))
-    if dom.family == "pullback":
-        return make_handle(dom, dplusm.canonical(dom.payload, (), h.payload))
-    return h
-
-
 def _ascent_apply(op: SemistarOp, e: IdealHandle) -> IdealHandle:
     # the ascended operation only acts on modules over the overring; there it
     # is the restriction of the original map
-    _to_overring_handle(e, op.tag)  # raises if e is not an overring module
+    e.domain.engine.to_overring(e, _overring_domain(e.domain, op.tag))  # raises if e is not an overring module
     return apply(op.inner, e)
 
 
 def _descent_apply(op: SemistarOp, e: IdealHandle) -> IdealHandle:
     dom = e.domain
+    eng = dom.engine
     if op.tag == "K":
-        return make_handle(dom, dom.engine.whole())
-    extended = make_handle(dom, dom.engine.extend(op.tag, e.payload))
-    over = _to_overring_handle(extended, op.tag)
+        return make_handle(dom, eng.whole())
+    extended = make_handle(dom, eng.extend(op.tag, e.payload))
+    over = eng.to_overring(extended, _overring_domain(dom, op.tag))
     image = apply(op.inner, over)
     if image.domain != over.domain:
         raise UnsupportedOperation("descent through a domain-changing operation")
-    return _from_overring_handle(dom, image, op.tag)
+    return eng.from_overring(dom, image)
 
 
 def finite_type_apply(inner: SemistarOp, e: IdealHandle) -> IdealHandle:
@@ -725,42 +828,12 @@ def finite_type_apply(inner: SemistarOp, e: IdealHandle) -> IdealHandle:
     # dense-group families: exhaust an open-tail module by the principal
     # closed-cut envelopes t^b V (b decreasing to the cut), whose images are
     # shifts of (V)^inner; the union is again representable
-    v_image = apply(inner, make_handle(dom, _v_module_payload(dom)))
+    v_image = apply(inner, dom.overring_unit)
     if eng.is_whole(e.payload):
         # shifts of the envelope image over arbitrarily low cuts cover the group
         return e
-    open_tail = _open_tail_of(dom, e.payload)
-    hull = _min_support_segment(dom, v_image.payload)
-    out_tail = segment_add(open_tail, hull)
-    return make_handle(dom, _tail_only_payload(dom, out_tail))
-
-
-def _v_module_payload(dom: DomainHandle):
-    if dom.family == "pullback":
-        return dplusm.overring_module(dom.payload)
-    if dom.family == "valuation":
-        return dom.payload.unit_segment()
-    raise UnsupportedOperation("no overring envelope for this family")
-
-
-def _open_tail_of(dom: DomainHandle, payload) -> Segment:
-    if dom.family == "pullback":
-        if payload.jumps:
-            raise ConsistencyError("finitely generated module slipped past the shortcut")
-        return payload.tail
-    return payload
-
-
-def _min_support_segment(dom: DomainHandle, payload) -> Segment:
-    if dom.family == "pullback":
-        return dplusm._hull(payload)
-    return payload
-
-
-def _tail_only_payload(dom: DomainHandle, tail: Segment):
-    if dom.family == "pullback":
-        return dplusm.canonical(dom.payload, (), tail)
-    return tail
+    out_tail = segment_add(eng.tail(e.payload), eng.hull(v_image.payload))
+    return make_handle(dom, eng.from_tail(out_tail))
 
 
 def stable_apply(inner: SemistarOp, e: IdealHandle) -> IdealHandle:
@@ -816,8 +889,6 @@ def _localizing_system(op: SemistarOp, dom: DomainHandle) -> LocalizingSystemVie
     mstar = apply(op, maximal_handle(dom))
     if not handle_eq(mstar, dstar):
         return LocalizingSystemView(dom, op, (unit_handle(dom),), True)
-    if dom.family == "numsgr":
-        raise UnsupportedOperation("no certified cofinal family below M for this ring")
     rng = random.Random(0xC0F1)
     for payload in eng.proper_subideal_samples(rng):
         sub = make_handle(dom, payload)
@@ -827,10 +898,6 @@ def _localizing_system(op: SemistarOp, dom: DomainHandle) -> LocalizingSystemVie
     if not handle_eq(apply(op, member), dstar):
         raise ConsistencyError("certified member lost its defining property")
     return LocalizingSystemView(dom, op, (member,), False)
-
-
-def ls_contains(ls: LocalizingSystemView, i: IdealHandle) -> bool:
-    return ls.contains(i)
 
 
 def tilde_apply(inner: SemistarOp, e: IdealHandle) -> IdealHandle:
@@ -897,7 +964,7 @@ def op_closed_form(op: SemistarOp, dom: DomainHandle) -> "str | None":
     if op.kind == "st":
         if op.tag == "K":
             return "constant-K"
-        if dom.family == "valuation":
+        if dom.engine.homogeneous:
             return "identity"  # integrally closed: V extension fixes every ideal
         return None
     if op.kind == "tilde":
@@ -948,7 +1015,7 @@ def ops_equal_on(op1: SemistarOp, op2: SemistarOp, universe) -> "Verdict":
         if handle_eq(apply(op1, probe), apply(op2, probe)):
             raise ConsistencyError("closed forms disagree but the probe does not separate")
         return refuted(probe, detail=f"closed forms differ: {f1} vs {f2}")
-    if dom.family == "valuation":
+    if dom.engine.homogeneous:
         # homogeneity: a segment is a shift of the unit or the maximal ideal,
         # so agreement on those two decides agreement everywhere
         for probe in (unit_handle(dom), maximal_handle(dom)):
@@ -964,13 +1031,9 @@ def op_leq(op1: SemistarOp, op2: SemistarOp, universe) -> "Verdict":
     tag = op_leq_syntactic(op1, op2)
     if tag is not None:
         return holds(tag)
-    for e in universe:
+    dom = universe[0].domain
+    homogeneous = dom.engine.homogeneous  # then D and M decide every ideal
+    for e in itertools.chain(universe, (unit_handle(dom), maximal_handle(dom)) if homogeneous else ()):
         if not handle_leq(apply(op1, e), apply(op2, e)):
             return refuted(e, detail="first operation is not below the second here")
-    dom = universe[0].domain
-    if dom.family == "valuation":
-        for probe in (unit_handle(dom), maximal_handle(dom)):
-            if not handle_leq(apply(op1, probe), apply(op2, probe)):
-                return refuted(probe, detail="first operation is not below the second here")
-        return holds("determined-by-unit-and-maximal")
-    return unknown(len(universe))
+    return holds("determined-by-unit-and-maximal") if homogeneous else unknown(len(universe))

@@ -1,0 +1,201 @@
+"""Test oracles: independent models the engine is checked against.
+
+Nothing in the package uses them.  Finite leading-term expansions stand for
+elements of k + M pullbacks; bitmasks on a fixed window stand for value
+sets of monomial ideals of numerical semigroup rings.
+"""
+
+from __future__ import annotations
+
+from semistar import dplusm
+from semistar.algebra import AlgebraError
+from semistar.dplusm import SAMPLE_ATTEMPTS, LeveledModule, PullbackDomain
+from semistar.numsgr import NumericalSemigroup
+from semistar.operations import IdealHandle, LocalizingSystemView
+
+
+# ---------------------------------------------------------------------------
+# element expansions over k + M pullbacks
+
+def exp_normalize(domain: PullbackDomain, terms) -> tuple:
+    K = domain.residue_ext
+    group = domain.group
+    acc = {}
+    for c, g in terms:
+        g = group.coerce(g)
+        acc[g] = K.add(acc.get(g, K.zero), c)
+    out = [(g, c) for g, c in acc.items() if not K.is_zero(c)]
+    out.sort(key=lambda t: t[0])
+    return tuple(out)
+
+
+def exp_add(domain, x, y):
+    return exp_normalize(domain, [(c, g) for g, c in x] + [(c, g) for g, c in y])
+
+
+def exp_mul(domain, x, y):
+    K = domain.residue_ext
+    group = domain.group
+    terms = []
+    for g1, c1 in x:
+        for g2, c2 in y:
+            terms.append((K.mul(c1, c2), group.add(g1, g2)))
+    return exp_normalize(domain, terms)
+
+
+def exp_member(m: LeveledModule, x) -> bool:
+    """Greedy leading-term elimination: strip terms lowest level first, each
+    coefficient must reduce inside the module's space at its level."""
+    remaining = list(x)
+    while remaining:
+        g, c = remaining[0]
+        if not dplusm.space_at(m, g).contains_vector(c):
+            return False
+        remaining = remaining[1:]
+    return True
+
+
+def random_domain_element(domain: PullbackDomain, rng, terms=3, window=4):
+    """A random element of D = k + M as a finite expansion."""
+    K = domain.residue_ext
+    group = domain.group
+    base = K.base
+    out = [(K.embed(base.rand(rng, 4)), group.zero)]
+    for _ in range(rng.randint(0, terms)):
+        g = group.rand(rng, window)
+        while not group.lt(group.zero, g):
+            g = group.rand(rng, window)
+        out.append((K.rand(rng, 4), g))
+    return exp_normalize(domain, [(c, g) for c, g in out])
+
+
+def random_module_element(m: LeveledModule, rng, terms=3, window=4):
+    """A random member of m, built from monomials the module provably holds."""
+    K = m.domain.residue_ext
+    group = m.domain.group
+    picks = []
+    j = m.jump()
+    if j is not None and rng.random() < 0.7:
+        g, w = j
+        c = K.zero
+        for row in w.rows:
+            c = K.add(c, K.scalar_mul(K.base.rand(rng, 4), row))
+        if not K.is_zero(c):
+            picks.append((c, g))
+    cut_probe = 0
+    while len(picks) < 1 + rng.randint(0, terms):
+        if m.tail.is_whole():
+            g = group.rand(rng, window)
+        elif m.tail.shape == "closed":
+            g = group.add(m.tail.cut, _small_nonneg(group, rng, window))
+        else:
+            g = group.add(m.tail.cut, _small_positive(group, rng, window))
+        picks.append((K.rand_nonzero(rng, 4), g))
+        cut_probe += 1
+        if cut_probe > 20:
+            break
+    return exp_normalize(m.domain, picks)
+
+
+def _small_nonneg(group, rng, window):
+    g = group.rand(rng, window)
+    zero = group.zero
+    if group.lt(g, zero):
+        g = group.neg(g)
+    return g
+
+
+def _small_positive(group, rng, window):
+    for _ in range(SAMPLE_ATTEMPTS):
+        g = _small_nonneg(group, rng, window)
+        if group.lt(group.zero, g):
+            return g
+    raise AlgebraError(f"no positive sample in {SAMPLE_ATTEMPTS} attempts")
+
+
+def ls_contains(ls: LocalizingSystemView, i: IdealHandle) -> bool:
+    return ls.contains(i)
+
+
+# ---------------------------------------------------------------------------
+# independent bitmask oracle for numerical semigroup ideals
+
+class BitsetOracle:
+    """Value sets as bitmasks on a fixed window [offset, offset + width).
+
+    Bit i of a mask stands for the value offset + i.  Operations are plain
+    set arithmetic on the masks, independent of the generator-level
+    normalize/colon algebra of semistar.numsgr.  Every mask fed to mul/colon must end in
+    an all-ones run longer than the conductor (tail_ok), which makes the
+    off-window behaviour determined.
+    """
+
+    def __init__(self, ring: NumericalSemigroup, offset: int, width: int):
+        self.ring = ring
+        self.offset = offset
+        self.width = width
+        self.window_mask = (1 << width) - 1
+
+    def expand(self, gens) -> int:
+        out = 0
+        for i in range(self.width):
+            v = self.offset + i
+            if any(self.ring.member(v - g) for g in gens):
+                out |= 1 << i
+        return out
+
+    def tail_ok(self, x: int) -> bool:
+        run = self.ring.conductor + 1
+        high = ((1 << run) - 1) << (self.width - run)
+        return (x & high) == high
+
+    def _shifted(self, x: int, s: int) -> int:
+        """Mask whose bit j answers: is the value at bit j+s in x, where bits
+        above the window count as present (tail_ok required on x)."""
+        if s >= self.width:
+            return self.window_mask
+        if s >= 0:
+            fill = self.window_mask & ~((1 << (self.width - s)) - 1)
+            return ((x >> s) | fill) & self.window_mask
+        return (x << -s) & self.window_mask
+
+    def sum(self, x: int, y: int) -> int:
+        return (x | y) & self.window_mask
+
+    def mul(self, x: int, y: int) -> int:
+        """Minkowski sum of value sets; operands must vanish below value 0."""
+        if self.offset < 0:
+            low = -self.offset
+            if (x & ((1 << low) - 1)) or (y & ((1 << low) - 1)):
+                raise AlgebraError("oracle mul needs nonnegative value sets")
+        out = 0
+        for i in range(self.width):
+            if x >> i & 1:
+                out |= y << (self.offset + i) if self.offset + i >= 0 else y >> -(self.offset + i)
+        return out & self.window_mask
+
+    def intersect(self, x: int, y: int) -> int:
+        return x & y
+
+    def colon(self, x: int, y: int) -> int:
+        """{z : z + y inside x} on the window; x and y must be tail_ok."""
+        out = self.window_mask
+        top = self.offset + self.width
+        for w in range(self.offset, top):
+            if y >> (w - self.offset) & 1:
+                out &= self._shifted(x, w)
+        # values of y beyond the window (present by tail_ok) still constrain
+        # window positions when the window extends below zero
+        for w in range(top, self.width):
+            out &= self._shifted(x, w)
+        return out
+
+    def minimal_generators(self, mask: int):
+        gens = []
+        for i in range(self.width):
+            if not (mask >> i & 1):
+                continue
+            v = self.offset + i
+            if not any(self.ring.member(v - g) for g in gens):
+                gens.append(v)
+        return tuple(gens)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import pathlib
 
+import pytest
+
 from semistar.cli import main
 from semistar.scenarios import Assertion, Scenario, run_scenario, run_scenarios
 from semistar.verdict import SampleSpec
@@ -85,3 +87,24 @@ def test_report_determinism_across_calls():
     _, rows1 = run_scenarios("all", spec)
     _, rows2 = run_scenarios("all", spec)
     assert rows1 == rows2
+
+
+@pytest.mark.parametrize("text", [
+    "family=numsgr gens=[3,4]",
+    "family=numsgr generators=[4,6]",
+    "family=pullback base_field=Fp:4 group=Z",
+    "family=pullback extension=a^2-4 group=Z",
+    "family=numsgr generators=[3,x]",
+])
+def test_bad_domain_file_is_one_line_and_exit_2(tmp_path, capsys, text):
+    path = _domain_file(tmp_path, text)
+    assert main(["--domain", path, "--expr", "D"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(("parse error: ", "error: ")) and err.count("\n") == 1
+
+
+def test_unknown_tag_in_an_expression_is_one_line_and_exit_2(tmp_path, capsys):
+    path = _domain_file(tmp_path, "family=numsgr generators=[3,4,5]")
+    assert main(["--domain", path, "--expr", "spec{X}(D)"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

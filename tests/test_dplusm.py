@@ -13,9 +13,6 @@ from semistar.dplusm import (
     PullbackDomain,
     ValuationDomain,
     canonical,
-    exp_add,
-    exp_member,
-    exp_mul,
     extend_to_V,
     fg_witness,
     localize_at,
@@ -29,13 +26,12 @@ from semistar.dplusm import (
     module_scale,
     module_sum,
     overring_module,
-    random_domain_element,
-    random_module_element,
     space_at,
     unit_module,
     v_closure_pullback,
     whole_module,
 )
+from oracles import exp_add, exp_member, exp_mul, random_domain_element, random_module_element
 
 
 @pytest.fixture(scope="module")

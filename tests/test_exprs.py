@@ -248,3 +248,15 @@ def test_fuzzed_print_parse_round_trip():
             ast = _random_ast(rng, domain, 3)
             printed = print_expr(ast, domain)
             assert parse_expr(printed, domain) == ast, printed
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("family=numsgr generators=[3,x]", 25),
+    ("family=pullback base_field=Fp:x group=Z", 30),
+    ("family=pullback extension=a^q group=Z", 26),
+    ("family=pullback extension=b^2-2 group=Z", 26),
+])
+def test_parse_domain_malformed_numbers_give_a_positioned_parse_error(text, pos):
+    with pytest.raises(ParseError) as exc:
+        parse_domain(text)
+    assert exc.value.pos == pos

@@ -9,7 +9,6 @@ import pytest
 
 from semistar.algebra import AlgebraError
 from semistar.numsgr import (
-    BitsetOracle,
     NumericalSemigroup,
     enumerate_ideals,
     hull_extension,
@@ -25,6 +24,7 @@ from semistar.numsgr import (
     ring_ideal,
     v_closure,
 )
+from oracles import BitsetOracle
 
 S345 = NumericalSemigroup.create([3, 4, 5])
 S23 = NumericalSemigroup.create([2, 3])

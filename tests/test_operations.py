@@ -125,7 +125,7 @@ def test_ls_contains(dom_vq):
     from fractions import Fraction
 
     from semistar.algebra import Segment
-    from semistar.operations import ls_contains
+    from oracles import ls_contains
 
     ls = localizing_system(v_op(), dom_vq)
     assert ls_contains(ls, maximal_handle(dom_vq))
@@ -333,13 +333,13 @@ class _RejectedRng:
 
 
 def test_sampling_loops_stop_at_their_cap(dom_318):
-    from semistar import dplusm
+    from oracles import _small_positive
     from semistar.algebra import ValueGroup
 
     with pytest.raises(AlgebraError, match="attempts"):
         dom_318.engine.sample_fg_ideal(_RejectedRng(), SPEC)
     with pytest.raises(AlgebraError, match="attempts"):
-        dplusm._small_positive(ValueGroup("Z"), _RejectedRng(), 8)
+        _small_positive(ValueGroup("Z"), _RejectedRng(), 8)
 
 
 def test_overring_and_localized_domains_are_built_once(dom_pvd, dom_345, dom_vq, dom_lex):
