@@ -312,7 +312,10 @@ def handle_leq(a: IdealHandle, b: IdealHandle) -> bool:
     if a.domain == b.domain:
         return a.domain.engine.leq(a.payload, b.payload)
     # mixed comparison across a spectral localization: localize a first
-    return a.domain.engine.localize(a.payload).leq(b.payload)
+    projected = a.domain.engine.localize(a.payload)
+    if b.domain.payload != a.domain.localized.payload:
+        raise AlgebraError("handles over incomparable domains")
+    return projected.leq(b.payload)
 
 
 def handle_eq(a: IdealHandle, b: IdealHandle) -> bool:
@@ -593,7 +596,7 @@ class _ValuationEngine:
 
     def localized(self, dom):
         if self.group.kind == "Z":
-            return dom  # the localized domain is its own localization
+            return dom  # rank one: already the localized domain
         if self.group.kind != "ZxZ":
             raise UnsupportedOperation("spectral localization needs the rank-2 lex group")
         return valuation_domain(self.vd.residue_ext, "Z", name=f"{dom.name}@P1")
@@ -716,12 +719,13 @@ class _PullbackEngine:
     ideal_window = _no_ideal_window
 
     def landmark_pairs(self):
-        """M D against M (x D): the two principal ideals at level one that
-        the residue extension k in K tells apart."""
+        """t D and (a t) D: principal ideals told apart only by k inside K."""
         if not self.pd.is_proper:
             return []
         one = _level_one(self.group)
-        return [tuple(dplusm.module_from_generators(self.pd, [(c, one)]) for c in (self.K.one, self.K.gen()))]
+        md = dplusm.module_from_generators(self.pd, [(self.K.one, one)])
+        mxd = dplusm.module_from_generators(self.pd, [(self.K.gen(), one)])
+        return [(md, mxd)]
 
     def overring(self, dom):
         return DomainHandle("valuation", self.pd.valuation, name=f"{dom.name}^V")
