@@ -67,3 +67,10 @@ def test_suite_golden(capsys):
 
     main(["--suite", "--samples", "2", "--seed", "0"])
     _check_or_regen("suite_seed0_samples2.txt", capsys.readouterr().out)
+
+
+def test_suite_golden_samples20(capsys):
+    from semistar.cli import main
+
+    main(["--suite", "--samples", "20", "--seed", "0"])
+    _check_or_regen("suite_seed0_samples20.txt", capsys.readouterr().out)
