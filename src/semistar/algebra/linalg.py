@@ -108,9 +108,6 @@ class Subspace:
     def _equations(self):
         return _membership_equations(self.ambient.base, self.rows, self.ambient.degree)
 
-    def contains_vector(self, x) -> bool:
-        return _solves(self.ambient.base, self._equations(), x)
-
     def leq(self, other: "Subspace") -> bool:
         self._check_ambient(other)
         eqs = other._equations()  # derived once for every row

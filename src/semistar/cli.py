@@ -58,10 +58,9 @@ def main(argv=None) -> int:
         if args.domain is None:
             print("error: --expr needs --domain", file=sys.stderr)
             return 2
-        with open(args.domain, encoding="utf-8") as fh:
-            domain_text = fh.read()
         try:
-            domain = exprs.parse_domain(domain_text)
+            with open(args.domain, encoding="utf-8") as fh:
+                domain = exprs.parse_domain(fh.read())
             ast = exprs.parse_expr(args.expr, domain)
             value = exprs.eval_expr(ast, domain)
         except exprs.ParseError as exc:
@@ -70,13 +69,16 @@ def main(argv=None) -> int:
         except exprs.EvalError as exc:
             print(f"evaluation error: {exc}", file=sys.stderr)
             return 2
-        except AlgebraError as exc:  # well-formed but meaningless: gcd 2, Fp:4, spec{X}
+        except (AlgebraError, OSError) as exc:  # meaningless (gcd 2, Fp:4, spec{X}) or unreadable
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(repr(value))
         return 0
 
     if args.scenario is not None:
+        if args.scenario not in ["all", *scenarios.scenario_names()]:
+            print(f"error: unknown scenario {args.scenario!r}; known: {scenarios.scenario_names()}", file=sys.stderr)
+            return 2
         code, rows = scenarios.run_scenarios(args.scenario, spec)
         text = _render_text(rows) if args.format == "text" else _render_json(rows)
         sys.stdout.write(text)

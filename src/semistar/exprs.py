@@ -8,6 +8,7 @@ ideals D, M, V.  parse -> print -> parse is a fixed point.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,16 +64,17 @@ _GROUP_NAMES = {"Z": "Z", "Q": "Q", "ZxZ_lex": "ZxZ"}
 def parse_domain(text: str) -> DomainHandle:
     fields = {}
     at = {}  # key -> position of its value
-    for tok in text.split():
+    for match in re.finditer(r"\S+", text):
+        tok, start = match.group(), match.start()
         if "=" not in tok:
-            raise ParseError(text, text.find(tok), "key=value")
+            raise ParseError(text, start, "key=value")
         key, _, val = tok.partition("=")
         if key not in _DOMAIN_KEYS:
-            raise ParseError(text, text.find(tok), f"one of {sorted(_DOMAIN_KEYS)}")
+            raise ParseError(text, start, f"one of {sorted(_DOMAIN_KEYS)}")
         if key in fields:
-            raise ParseError(text, text.find(tok), f"a single {key}")
+            raise ParseError(text, start, f"a single {key}")
         fields[key] = val
-        at[key] = text.find(tok) + len(key) + 1
+        at[key] = start + len(key) + 1
     family = fields.pop("family", None)
     if family == "numsgr":
         gens = fields.pop("generators", None)
@@ -407,7 +409,11 @@ class _Parser:
         base = self.coeff_atom()
         if self.peek() == "^":
             self.i += 1
+            self.skip_ws()
+            at = self.i
             n = self.integer()
+            if n < 0:
+                raise ParseError(self.text, at, "a nonnegative exponent")
             out = self.K.one
             for _ in range(n):
                 out = self.K.mul(out, base)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from semistar import dplusm
 from semistar.algebra import AlgebraError
+from semistar.algebra.linalg import Subspace
 from semistar.dplusm import SAMPLE_ATTEMPTS, LeveledModule, PullbackDomain
 from semistar.numsgr import NumericalSemigroup
 from semistar.operations import IdealHandle, LocalizingSystemView
@@ -43,13 +44,18 @@ def exp_mul(domain, x, y):
     return exp_normalize(domain, terms)
 
 
+def contains_vector(space: Subspace, x) -> bool:
+    """x lies in the subspace: the line it spans sits below it."""
+    return Subspace.span(space.ambient, [x]).leq(space)
+
+
 def exp_member(m: LeveledModule, x) -> bool:
     """Greedy leading-term elimination: strip terms lowest level first, each
     coefficient must reduce inside the module's space at its level."""
     remaining = list(x)
     while remaining:
         g, c = remaining[0]
-        if not dplusm.space_at(m, g).contains_vector(c):
+        if not contains_vector(dplusm.space_at(m, g), c):
             return False
         remaining = remaining[1:]
     return True

@@ -103,6 +103,18 @@ def test_bad_domain_file_is_one_line_and_exit_2(tmp_path, capsys, text):
     assert err.startswith(("parse error: ", "error: ")) and err.count("\n") == 1
 
 
+def test_unknown_scenario_is_one_line_and_exit_2(capsys):
+    assert main(["--scenario", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown scenario 'nope'") and err.count("\n") == 1
+
+
+def test_missing_domain_file_is_one_line_and_exit_2(tmp_path, capsys):
+    assert main(["--domain", str(tmp_path / "missing"), "--expr", "D"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing" in err and err.count("\n") == 1
+
+
 def test_unknown_tag_in_an_expression_is_one_line_and_exit_2(tmp_path, capsys):
     path = _domain_file(tmp_path, "family=numsgr generators=[3,4,5]")
     assert main(["--domain", path, "--expr", "spec{X}(D)"]) == 2

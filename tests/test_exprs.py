@@ -127,6 +127,13 @@ def test_eval_coefficient_arithmetic():
     assert handle_eq(sq, eval_expr(parse_expr("<2*t(0)>", pq), pq))
 
 
+def test_negative_coefficient_exponent_is_a_positioned_parse_error():
+    pz = parse_domain(PULLBACK_Z)
+    with pytest.raises(ParseError) as exc:
+        parse_expr("<a^-1*t(0)>", pz)
+    assert exc.value.pos == 3 and "nonnegative exponent" in str(exc.value)
+
+
 def test_atoms_match_handles():
     for text in (NUMSGR_TEXT, PULLBACK_Q, VAL_Q):
         domain = parse_domain(text)
@@ -255,6 +262,7 @@ def test_fuzzed_print_parse_round_trip():
     ("family=pullback base_field=Fp:x group=Z", 30),
     ("family=pullback extension=a^q group=Z", 26),
     ("family=pullback extension=b^2-2 group=Z", 26),
+    ("family=numsgr family=numsgr", 14),  # the repeated key, not its first spelling
 ])
 def test_parse_domain_malformed_numbers_give_a_positioned_parse_error(text, pos):
     with pytest.raises(ParseError) as exc:
