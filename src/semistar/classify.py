@@ -37,6 +37,7 @@ from .operations import (
     quasi_star_ideal_check,
     tilde_op,
     unit_handle,
+    unit_image,
 )
 from .verdict import SampleSpec, Verdict, holds, refuted, unknown
 
@@ -93,7 +94,7 @@ def fg_ideal_pairs(domain: DomainHandle, spec: SampleSpec, n=None):
 def is_star_invertible(op: SemistarOp, i: IdealHandle) -> bool:
     dom = i.domain
     prod = handle_mul(i, handle_inverse(i))
-    return handle_eq(apply(op, prod), apply(op, unit_handle(dom)))
+    return handle_eq(apply(op, prod), unit_image(op, dom))
 
 
 def _envelope_fixed(op: SemistarOp, dom: DomainHandle) -> bool:
@@ -364,7 +365,7 @@ def h_clauses(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> dict:
     from .operations import ops_equal_on, quasi_star_maximals
 
     out = {}
-    dstar = apply(op, unit_handle(domain))
+    dstar = unit_image(op, domain)
     m = maximal_handle(domain)
 
     # clause: the localizing systems of op and its finite-type closure agree

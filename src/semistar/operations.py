@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from . import dplusm, numsgr
 from .algebra.fields import AlgebraError
@@ -90,9 +90,7 @@ def spec_op(tag: str) -> SemistarOp:
 
 def ft_op(inner: SemistarOp) -> SemistarOp:
     if known_finite_type(inner):
-        return inner  # already of finite type; the closure is the identity
-    if inner.kind == "ft":
-        return inner
+        return inner  # already of finite type (ft included); the closure is the identity
     return SemistarOp("ft", inner=inner)
 
 
@@ -129,29 +127,17 @@ def op_to_text(op: SemistarOp) -> str:
         return f"st[{op.tag}]"
     if op.kind == "spec":
         return "spec{" + op.tag + "}"
-    if op.kind == "ft":
-        if op.inner.kind == "v":
-            return "t"
-        return f"ft({op_to_text(op.inner)})"
-    if op.kind == "tilde":
-        if op.inner.kind == "v":
-            return "w"
-        return f"tilde({op_to_text(op.inner)})"
-    if op.kind == "bar":
-        return f"bar({op_to_text(op.inner)})"
-    if op.kind == "asc":
-        return f"asc({op_to_text(op.inner)})"
-    if op.kind == "desc":
-        return f"desc({op_to_text(op.inner)})"
+    if op.kind in ("ft", "tilde") and op.inner.kind == "v":
+        return "t" if op.kind == "ft" else "w"
+    if op.kind in ("ft", "tilde", "bar", "asc", "desc"):
+        return f"{op.kind}({op_to_text(op.inner)})"
     raise AlgebraError(f"unknown op kind {op.kind!r}")
 
 
 def known_finite_type(op: SemistarOp) -> bool:
     """Sound, incomplete: True only when the term shape forces finite type."""
-    if op.kind in ("identity", "st", "spec", "ft"):
-        return True
-    if op.kind == "tilde":
-        return True  # stable finite-type closure by construction
+    if op.kind in ("identity", "st", "spec", "ft", "tilde"):
+        return True  # tilde: a stable finite-type closure by construction
     if op.kind == "desc":
         return known_finite_type(op.inner)
     return False
@@ -159,13 +145,8 @@ def known_finite_type(op: SemistarOp) -> bool:
 
 def known_stable(op: SemistarOp, domain: "DomainHandle") -> bool:
     """Sound, incomplete: True only when stability is forced."""
-    if "all_ops_stable" in domain.capabilities:
-        return True
-    if op.kind in ("identity", "spec", "bar", "tilde"):
-        return True
-    if op.kind == "st" and op.tag == "K":
-        return True
-    return False
+    return ("all_ops_stable" in domain.capabilities or op.kind in ("identity", "spec", "bar", "tilde")
+            or (op.kind == "st" and op.tag == "K"))
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +207,14 @@ class DomainHandle:
         """compute(op, self), evaluated once; a failure is kept as its type and
         arguments and raised afresh, so no stored exception grows a traceback."""
         key = (compute, op)
-        if key not in self._facts:
+        entry = self._facts.get(key)
+        if entry is None:
             try:
-                self._facts[key] = (None, compute(op, self))
+                entry = (None, compute(op, self))
             except (UnsupportedOperation, AlgebraError) as exc:
-                self._facts[key] = (type(exc), exc.args)
-        error, value = self._facts[key]
+                entry = (type(exc), exc.args)
+            self._facts[key] = entry
+        error, value = entry
         if error is not None:
             raise error(*value)
         return value
@@ -760,37 +743,101 @@ _ENGINES = {"numsgr": _NumsgrEngine, "pullback": _PullbackEngine, "valuation": _
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: each operation is compiled once per domain
+
+@dataclass(frozen=True)
+class CompiledOp:
+    """An operation compiled for one domain by `compile_op`."""
+
+    kind: str  # identity | constant-K | colon-by | ft-of | inner | generic
+    run: object  # IdealHandle -> IdealHandle
+    form: "str | None" = None  # the closed form op_closed_form reports
+
+
+_IDENTITY = CompiledOp("identity", lambda e: e, "identity")
+_CONSTANT_K = CompiledOp("constant-K", lambda e: make_handle(e.domain, e.domain.engine.whole()), "constant-K")
+
 
 def apply(op: SemistarOp, e: IdealHandle) -> IdealHandle:
-    dom = e.domain
-    eng = dom.engine
-    if op.kind == "identity":
-        return e
-    if op.kind == "v":
-        return make_handle(dom, eng.v(e.payload))
-    if op.kind == "st":
-        if op.tag == "K":
-            return make_handle(dom, eng.whole())
-        return make_handle(dom, eng.extend(op.tag, e.payload))
-    if op.kind == "spec":
-        return _spectral_apply(op, e)
-    if op.kind == "ft":
-        return finite_type_apply(op.inner, e)
+    return e.domain.fact(compile_op, op).run(e)
+
+
+def unit_image(op: SemistarOp, dom: DomainHandle) -> IdealHandle:
+    """D^op, evaluated once per domain."""
+    return dom.fact(_unit_image, op)
+
+
+def _unit_image(op: SemistarOp, dom: DomainHandle) -> IdealHandle:
+    return apply(op, dom.unit)
+
+
+def compile_op(op: SemistarOp, dom: DomainHandle) -> CompiledOp:
+    """The closure of op on dom, reached through `dom.fact(compile_op, op)`
+    so that what depends only on (domain, op) is derived once.  Everything
+    it raises is raised by every apply of op on dom, at the same point of
+    the evaluation."""
+    if op.kind == "identity" or (op.kind == "spec" and op.tag == "M"):
+        return _IDENTITY  # spec{M}: localization at the maximal ideal of a local domain
+    if op.kind == "st" and op.tag == "K":
+        return _CONSTANT_K
     if op.kind == "bar":
-        return stable_apply(op.inner, e)
+        return _compile_stable(op.inner, dom)
+    if op.kind == "ft":
+        return _compile_finite_type(op.inner, dom)
     if op.kind == "tilde":
-        return tilde_apply(op.inner, e)
-    if op.kind == "asc":
-        return _ascent_apply(op, e)
-    if op.kind == "desc":
-        return _descent_apply(op, e)
-    raise UnsupportedOperation(f"unknown operation kind {op.kind!r}")
+        # local domain: E D_M = E when M is quasi-maximal, else E goes to K
+        return _IDENTITY if quasi_star_maximals(op.inner, dom) else _CONSTANT_K
+    if op.kind not in _GENERIC:
+        raise UnsupportedOperation(f"unknown operation kind {op.kind!r}")
+    run = _GENERIC[op.kind]
+    # integrally closed: the V extension fixes every ideal
+    form = "identity" if op.kind == "st" and dom.engine.homogeneous else None
+    return CompiledOp("generic", lambda e: run(op, e), form)
+
+
+def _compile_stable(inner: SemistarOp, dom: DomainHandle) -> CompiledOp:
+    """bar(inner) is E -> (E : J), J the meet of the localizing system of
+    inner, unless inner is stable already; then it runs the compiled inner."""
+    if known_stable(inner, dom):
+        return CompiledOp("inner", lambda e: apply(inner, e), dom.fact(compile_op, inner).form)
+    if dom.engine.is_whole(unit_image(inner, dom).payload):
+        # the constant map to the quotient field, which is already stable
+        return CompiledOp("inner", lambda e: apply(inner, e), "constant-K")
+    ls = localizing_system(inner, dom)
+    if ls.trivial:
+        return _IDENTITY  # J = D, and (E : D) = E
+    meet = reduce(handle_intersect, ls.members)
+    return CompiledOp("colon-by", lambda e: handle_colon(e, meet), "colon-M")
+
+
+def _compile_finite_type(inner: SemistarOp, dom: DomainHandle) -> CompiledOp:
+    """ft(inner) is inner on finitely generated ideals.  On dense-group
+    families an open-tail module is exhausted by the principal closed-cut
+    envelopes t^b V (b decreasing to the cut), whose images are shifts of
+    (V)^inner; the union is again representable."""
+    form = dom.fact(compile_op, inner).form
+    form = form if form in ("identity", "constant-K") else None  # both are finite-type maps already
+    if "all_fg" in dom.capabilities:
+        return CompiledOp("inner", lambda e: apply(inner, e), form)
+    eng = dom.engine
+
+    def run(e):
+        if e.finitely_generated:
+            return apply(inner, e)
+        hull = dom.fact(_envelope_hull, inner)
+        if eng.is_whole(e.payload):
+            return e  # shifts of the envelope image over arbitrarily low cuts cover the group
+        return make_handle(dom, eng.from_tail(segment_add(eng.tail(e.payload), hull)))
+
+    return CompiledOp("ft-of", run, form)
+
+
+def _envelope_hull(inner: SemistarOp, dom: DomainHandle):
+    """The hull of (V)^inner, which ft(inner) shifts."""
+    return dom.engine.hull(apply(inner, dom.overring_unit).payload)
 
 
 def _spectral_apply(op: SemistarOp, e: IdealHandle) -> IdealHandle:
-    if op.tag == "M":
-        return e  # localization at the maximal ideal of a local domain
     dom = e.domain
     over = dom.localized  # raises unless the domain has a coarsening prime
     if over is dom:
@@ -824,36 +871,11 @@ def _descent_apply(op: SemistarOp, e: IdealHandle) -> IdealHandle:
     return eng.from_overring(dom, image)
 
 
-def finite_type_apply(inner: SemistarOp, e: IdealHandle) -> IdealHandle:
-    dom = e.domain
-    eng = dom.engine
-    if "all_fg" in dom.capabilities or e.finitely_generated:
-        return apply(inner, e)
-    # dense-group families: exhaust an open-tail module by the principal
-    # closed-cut envelopes t^b V (b decreasing to the cut), whose images are
-    # shifts of (V)^inner; the union is again representable
-    v_image = apply(inner, dom.overring_unit)
-    if eng.is_whole(e.payload):
-        # shifts of the envelope image over arbitrarily low cuts cover the group
-        return e
-    out_tail = segment_add(eng.tail(e.payload), eng.hull(v_image.payload))
-    return make_handle(dom, eng.from_tail(out_tail))
-
-
-def stable_apply(inner: SemistarOp, e: IdealHandle) -> IdealHandle:
-    dom = e.domain
-    if known_stable(inner, dom):
-        return apply(inner, e)
-    dstar = apply(inner, unit_handle(dom))
-    if dom.engine.is_whole(dstar.payload):
-        # the operation is the constant map to the quotient field, which is
-        # already stable
-        return apply(inner, e)
-    ls = localizing_system(inner, dom)
-    meet = ls.members[0]
-    for j in ls.members[1:]:
-        meet = handle_intersect(meet, j)
-    return handle_colon(e, meet)
+_GENERIC = {
+    "v": lambda op, e: make_handle(e.domain, e.domain.engine.v(e.payload)),
+    "st": lambda op, e: make_handle(e.domain, e.domain.engine.extend(op.tag, e.payload)),
+    "spec": _spectral_apply, "asc": _ascent_apply, "desc": _descent_apply,
+}
 
 
 @dataclass(frozen=True)
@@ -866,8 +888,7 @@ class LocalizingSystemView:
     trivial: bool  # the system is {D}
 
     def contains(self, i: IdealHandle) -> bool:
-        dstar = apply(self.op, unit_handle(self.domain))
-        return handle_eq(apply(self.op, i), dstar)
+        return handle_eq(apply(self.op, i), unit_image(self.op, self.domain))
 
 
 def localizing_system(op: SemistarOp, dom: DomainHandle) -> LocalizingSystemView:
@@ -887,7 +908,7 @@ def _localizing_system(op: SemistarOp, dom: DomainHandle) -> LocalizingSystemVie
     import random
 
     eng = dom.engine
-    dstar = apply(op, unit_handle(dom))
+    dstar = unit_image(op, dom)
     if eng.is_whole(dstar.payload):
         raise UnsupportedOperation("constant-field operation has no finite cofinal family")
     mstar = apply(op, maximal_handle(dom))
@@ -902,14 +923,6 @@ def _localizing_system(op: SemistarOp, dom: DomainHandle) -> LocalizingSystemVie
     if not handle_eq(apply(op, member), dstar):
         raise ConsistencyError("certified member lost its defining property")
     return LocalizingSystemView(dom, op, (member,), False)
-
-
-def tilde_apply(inner: SemistarOp, e: IdealHandle) -> IdealHandle:
-    dom = e.domain
-    maxes = quasi_star_maximals(inner, dom)
-    if maxes:
-        return e  # local domain, M quasi-maximal: E D_M = E
-    return make_handle(dom, dom.engine.whole())
 
 
 def quasi_star_ideal_check(op: SemistarOp, i: IdealHandle) -> bool:
@@ -929,8 +942,7 @@ def _quasi_star_maximals(op: SemistarOp, dom: DomainHandle) -> tuple:
     ftop = ft_op(op)
     if quasi_star_ideal_check(ftop, maximal_handle(dom)):
         return ("M",)
-    dstarf = apply(ftop, unit_handle(dom))
-    if dom.engine.is_whole(dstarf.payload):
+    if dom.engine.is_whole(unit_image(ftop, dom).payload):
         return ()
     raise UnsupportedMaximalSpectrum(
         "M is not a quasi-ideal of the finite-type closure and the closure of D "
@@ -962,36 +974,12 @@ def op_leq_syntactic(a: SemistarOp, b: SemistarOp) -> "str | None":
 def op_closed_form(op: SemistarOp, dom: DomainHandle) -> "str | None":
     """Reduce an operation to one of the closed forms the local families
     admit: "identity", "constant-K", or "colon-M" (the stable closure by the
-    maximal ideal).  None when no exact reduction applies."""
-    if op.kind == "identity" or (op.kind == "spec" and op.tag == "M"):
-        return "identity"
-    if op.kind == "st":
-        if op.tag == "K":
-            return "constant-K"
-        if dom.engine.homogeneous:
-            return "identity"  # integrally closed: V extension fixes every ideal
+    maximal ideal), as its compiled form records.  None when no exact
+    reduction applies."""
+    try:
+        return dom.fact(compile_op, op).form
+    except UnsupportedOperation:
         return None
-    if op.kind == "tilde":
-        try:
-            return "identity" if quasi_star_maximals(op.inner, dom) else "constant-K"
-        except UnsupportedOperation:
-            return None
-    if op.kind == "bar":
-        if known_stable(op.inner, dom):
-            return op_closed_form(op.inner, dom)
-        try:
-            dstar = apply(op.inner, unit_handle(dom))
-            if dom.engine.is_whole(dstar.payload):
-                return "constant-K"
-            return "identity" if localizing_system(op.inner, dom).trivial else "colon-M"
-        except UnsupportedOperation:
-            return None
-    if op.kind == "ft":
-        inner_form = op_closed_form(op.inner, dom)
-        if inner_form in ("identity", "constant-K"):
-            return inner_form  # both are finite-type maps already
-        return None
-    return None
 
 
 def _form_separating_probe(form1: str, form2: str, dom: DomainHandle) -> IdealHandle:

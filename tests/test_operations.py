@@ -351,3 +351,74 @@ def test_overring_and_localized_domains_are_built_once(dom_pvd, dom_345, dom_vq,
     assert dom_vq.overring is dom_vq
     p1 = spec_op("P1")
     assert apply(p1, unit_handle(dom_lex)).domain is apply(p1, maximal_handle(dom_lex)).domain
+
+
+# ---------------------------------------------------------------------------
+# each operation is compiled once per domain
+
+def _count_calls(monkeypatch, engine, hook, payload):
+    """Count the calls of an engine hook whose last argument equals payload."""
+    calls = []
+    original = getattr(engine, hook)
+
+    def counted(*args):
+        calls.append(args[-1] == payload)
+        return original(*args)
+
+    monkeypatch.setattr(engine, hook, counted)
+    return calls
+
+
+def test_bar_derives_its_data_once_per_domain(monkeypatch, K_quad):
+    from semistar.operations import compile_op, pullback_domain
+
+    dom = pullback_domain(K_quad, "Z", "pvd-compile-once")
+    ideals = []
+    for e in probe_ideals(dom, SampleSpec(seed=5, count=80), n=80):
+        if all(e.payload != seen.payload for seen in ideals):
+            ideals.append(e)
+    ideals = ideals[:20]
+    assert len(ideals) == 20
+    calls = _count_calls(monkeypatch, dom.engine, "v", dom.unit.payload)
+    barred = bar_op(v_op())
+    images = [apply(barred, e) for e in ideals]
+    assert sum(calls) == 1  # D^v, for the localizing system and its meet
+    assert dom.fact(compile_op, barred).kind == "identity"  # the system is {D}
+    assert all(handle_eq(img, handle_colon(e, unit_handle(dom))) for img, e in zip(images, ideals))
+
+
+def test_finite_type_computes_the_envelope_image_once(monkeypatch, K_triv):
+    from fractions import Fraction
+
+    from semistar.algebra import Segment
+    from semistar.operations import compile_op, valuation_domain
+
+    dom = valuation_domain(K_triv, "Q", "v-q-compile-once")
+    over = dom.overring_unit
+    calls = _count_calls(monkeypatch, dom.engine, "extend", over.payload)
+    ft_v = SemistarOp("ft", inner=st_op("V"))  # ft_op would fold it: st[V] is of finite type
+    for k in range(-6, 6):
+        e = make_handle(dom, Segment.make(dom.payload_group, "open", Fraction(k, 3)))
+        assert not e.finitely_generated
+        assert handle_eq(apply(ft_v, e), apply(st_op("V"), e))
+    assert dom.fact(compile_op, ft_v).kind == "ft-of"
+    # the envelope image (V)^st[V] once; the direct st[V] evaluations never see V itself
+    assert sum(calls) == 1
+
+
+def test_colon_by_the_unit_is_the_identity(dom_345, dom_pvd, dom_318, dom_vq, dom_vz, dom_lex):
+    """A trivial localizing system compiles bar to the identity: (E : D) = E."""
+    for dom in (dom_345, dom_pvd, dom_318, dom_vq, dom_vz, dom_lex):
+        for e in probe_ideals(dom, SPEC, n=24):
+            assert handle_colon(e, unit_handle(dom)).payload == e.payload
+
+
+@pytest.mark.parametrize("op", [
+    bar_op(st_op("K")),  # known stable: runs st[K] itself
+    SemistarOp("ft", inner=st_op("K")),  # all ideals finitely generated: runs st[K] itself
+    bar_op(desc_op(st_op("K"))),  # D^op fails while compiling, and the failure is stored
+])
+def test_a_failing_inner_operation_fails_on_every_apply(dom_345, op):
+    for e in (unit_handle(dom_345), maximal_handle(dom_345), unit_handle(dom_345)):
+        with pytest.raises(UnsupportedOperation, match="full quotient field"):
+            apply(op, e)
