@@ -409,9 +409,7 @@ class _Parser:
         base = self.coeff_atom()
         if self.peek() == "^":
             self.i += 1
-            self.skip_ws()
-            at = self.i
-            n = self.integer()
+            at, n = self.i, self.integer()
             if n < 0:
                 raise ParseError(self.text, at, "a nonnegative exponent")
             out = self.K.one

@@ -24,6 +24,14 @@ the family string.  The three engines expose the same names, duck-typed:
 - the segment view of valuation and pullback payloads: `tail(a)` of a
   payload without a jump, `hull(a)` = a V, and `from_tail(seg)`.
 
+Evaluation is compiled once per (domain, op): `compile_op`, reached through
+`dom.fact`, gives a CompiledOp whose `run` maps an ideal to its image and
+whose `form` is what `op_closed_form` reports.  Its kind is `identity`,
+`constant-K`, `colon-by` J (bar: E -> (E : J), J the meet of the localizing
+system, computed once), `ft-of` (ft of an open-tail module: a shift of the
+envelope image (V)^op, computed once), `inner` (the compiled inner operation
+runs) or `generic` (the term's evaluator runs on every call).
+
 Whenever no exact evaluator exists the evaluator raises
 UnsupportedOperation; nothing is ever silently approximated.
 """
@@ -772,10 +780,8 @@ def _unit_image(op: SemistarOp, dom: DomainHandle) -> IdealHandle:
 
 
 def compile_op(op: SemistarOp, dom: DomainHandle) -> CompiledOp:
-    """The closure of op on dom, reached through `dom.fact(compile_op, op)`
-    so that what depends only on (domain, op) is derived once.  Everything
-    it raises is raised by every apply of op on dom, at the same point of
-    the evaluation."""
+    """The closure of op on dom.  What it raises, every apply of op on dom
+    raises, at the same point of the evaluation."""
     if op.kind == "identity" or (op.kind == "spec" and op.tag == "M"):
         return _IDENTITY  # spec{M}: localization at the maximal ideal of a local domain
     if op.kind == "st" and op.tag == "K":
