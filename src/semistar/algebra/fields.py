@@ -353,10 +353,6 @@ class ExtensionField:
     def eq(self, x, y) -> bool:
         return all(self.base.eq(a, b) for a, b in zip(x, y))
 
-    def scalar_mul(self, c, x):
-        c = self.base.coerce(c)
-        return tuple(self.base.mul(c, a) for a in x)
-
     def rand(self, rng, bound=6):
         return tuple(self.base.rand(rng, bound) for _ in range(self.degree))
 

@@ -172,11 +172,6 @@ def maximal_module(domain: PullbackDomain) -> LeveledModule:
     return canonical(domain, (), Segment.open(domain.group, domain.group.zero))
 
 
-def overring_module(domain: PullbackDomain) -> LeveledModule:
-    """V itself, as a D-module."""
-    return canonical(domain, (), Segment.closed(domain.group, domain.group.zero))
-
-
 def whole_module(domain: PullbackDomain) -> LeveledModule:
     """The quotient field as a D-module."""
     return LeveledModule(domain, (), Segment.whole(domain.group))

@@ -801,14 +801,23 @@ def compile_op(op: SemistarOp, dom: DomainHandle) -> CompiledOp:
     return CompiledOp("generic", lambda e: run(op, e), form)
 
 
+def _delegate(inner: SemistarOp, compiled: CompiledOp, form: "str | None") -> CompiledOp:
+    """Run the compiled inner operation: its own closure when that does no
+    work (identity, constant-K), else through apply."""
+    if compiled.kind in ("identity", "constant-K"):
+        return compiled
+    return CompiledOp("inner", lambda e: apply(inner, e), form)
+
+
 def _compile_stable(inner: SemistarOp, dom: DomainHandle) -> CompiledOp:
     """bar(inner) is E -> (E : J), J the meet of the localizing system of
     inner, unless inner is stable already; then it runs the compiled inner."""
+    compiled = dom.fact(compile_op, inner)
     if known_stable(inner, dom):
-        return CompiledOp("inner", lambda e: apply(inner, e), dom.fact(compile_op, inner).form)
+        return _delegate(inner, compiled, compiled.form)
     if dom.engine.is_whole(unit_image(inner, dom).payload):
         # the constant map to the quotient field, which is already stable
-        return CompiledOp("inner", lambda e: apply(inner, e), "constant-K")
+        return _delegate(inner, compiled, "constant-K")
     ls = localizing_system(inner, dom)
     if ls.trivial:
         return _IDENTITY  # J = D, and (E : D) = E
@@ -821,10 +830,10 @@ def _compile_finite_type(inner: SemistarOp, dom: DomainHandle) -> CompiledOp:
     families an open-tail module is exhausted by the principal closed-cut
     envelopes t^b V (b decreasing to the cut), whose images are shifts of
     (V)^inner; the union is again representable."""
-    form = dom.fact(compile_op, inner).form
-    form = form if form in ("identity", "constant-K") else None  # both are finite-type maps already
+    compiled = dom.fact(compile_op, inner)
+    form = compiled.form if compiled.form in ("identity", "constant-K") else None  # finite-type maps already
     if "all_fg" in dom.capabilities:
-        return CompiledOp("inner", lambda e: apply(inner, e), form)
+        return _delegate(inner, compiled, form)
     eng = dom.engine
 
     def run(e):

@@ -8,9 +8,9 @@ sets of monomial ideals of numerical semigroup rings.
 from __future__ import annotations
 
 from semistar import dplusm
-from semistar.algebra import AlgebraError
+from semistar.algebra import AlgebraError, Segment
 from semistar.algebra.linalg import Subspace
-from semistar.dplusm import SAMPLE_ATTEMPTS, LeveledModule, PullbackDomain
+from semistar.dplusm import SAMPLE_ATTEMPTS, LeveledModule, PullbackDomain, canonical
 from semistar.numsgr import NumericalSemigroup
 from semistar.operations import IdealHandle, LocalizingSystemView
 
@@ -42,6 +42,17 @@ def exp_mul(domain, x, y):
         for g2, c2 in y:
             terms.append((K.mul(c1, c2), group.add(g1, g2)))
     return exp_normalize(domain, terms)
+
+
+def overring_module(domain: PullbackDomain) -> LeveledModule:
+    """V itself, as a D-module."""
+    return canonical(domain, (), Segment.closed(domain.group, domain.group.zero))
+
+
+def scalar_mul(K, c, x):
+    """c x for c in the base field of K and x in K."""
+    c = K.base.coerce(c)
+    return tuple(K.base.mul(c, a) for a in x)
 
 
 def contains_vector(space: Subspace, x) -> bool:
@@ -85,7 +96,7 @@ def random_module_element(m: LeveledModule, rng, terms=3, window=4):
         g, w = j
         c = K.zero
         for row in w.rows:
-            c = K.add(c, K.scalar_mul(K.base.rand(rng, 4), row))
+            c = K.add(c, scalar_mul(K, K.base.rand(rng, 4), row))
         if not K.is_zero(c):
             picks.append((c, g))
     cut_probe = 0

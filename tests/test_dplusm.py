@@ -25,13 +25,12 @@ from semistar.dplusm import (
     module_mul,
     module_scale,
     module_sum,
-    overring_module,
     space_at,
     unit_module,
     v_closure_pullback,
     whole_module,
 )
-from oracles import contains_vector, exp_add, exp_member, exp_mul, random_domain_element, random_module_element
+from oracles import contains_vector, exp_add, overring_module, exp_member, exp_mul, random_domain_element, random_module_element
 
 
 @pytest.fixture(scope="module")
