@@ -406,6 +406,17 @@ def test_finite_type_computes_the_envelope_image_once(monkeypatch, K_triv):
     assert sum(calls) == 1
 
 
+def test_bar_with_a_nontrivial_system_is_the_colon_by_its_meet(dom_318):
+    from semistar.operations import compile_op, op_closed_form
+
+    barred = bar_op(desc_op(v_op()))  # (M V)^v = V over a dense group: the system is {M}
+    assert dom_318.fact(compile_op, barred).kind == "colon-by"
+    assert op_closed_form(barred, dom_318) == "colon-M"
+    m = maximal_handle(dom_318)
+    for e in probe_ideals(dom_318, SPEC, n=24):
+        assert handle_eq(apply(barred, e), handle_colon(e, m))
+
+
 def test_colon_by_the_unit_is_the_identity(dom_345, dom_pvd, dom_318, dom_vq, dom_vz, dom_lex):
     """A trivial localizing system compiles bar to the identity: (E : D) = E."""
     for dom in (dom_345, dom_pvd, dom_318, dom_vq, dom_vz, dom_lex):
