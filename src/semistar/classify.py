@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import copy
 import itertools
+from fractions import Fraction
 
 from .algebra.fields import AlgebraError
+from .algebra.groups import Segment
 from .operations import (
     ConsistencyError,
     DomainHandle,
@@ -31,10 +33,13 @@ from .operations import (
     handle_leq,
     handle_mul,
     known_finite_type,
+    known_stable,
     localizing_system,
     make_handle,
     maximal_handle,
+    ops_equal_on,
     quasi_star_ideal_check,
+    quasi_star_maximals,
     tilde_op,
     unit_handle,
     unit_image,
@@ -45,6 +50,50 @@ from .verdict import SampleSpec, Verdict, holds, refuted, unknown
 # ---------------------------------------------------------------------------
 # sampling universes
 
+class _Stream:
+    """The drawn prefix of one seeded stream, its rng, and the failure that
+    ended it (type and arguments), if any."""
+
+    __slots__ = ("domain", "rng", "drawn", "error")
+
+    def __init__(self, domain, rng):
+        self.domain = domain  # keeps id(domain) from being reused while the entry lives
+        self.rng = rng
+        self.drawn = []
+        self.error = None
+
+
+def seeded(domain: DomainHandle, spec: SampleSpec, salt: str, draw, n: int):
+    """The first n items of the seeded stream draw(rng), draw(rng), ... with
+    rng = spec.rng(salt), each index drawn once per spec: the first consumer
+    to reach an index draws it, every later one replays it, so each consumer
+    reads the same items in the same order however far it reads, and n <= 0
+    reads none.  The salt must name the draw.  An AlgebraError or
+    ConsistencyError at index k is kept as its type and arguments and raised
+    afresh at index k on every replay."""
+    key = (id(domain), salt)
+    stream = spec.draws.get(key)
+    if stream is None:
+        stream = spec.draws[key] = _Stream(domain, spec.rng(salt))
+    drawn = stream.drawn
+    for k in range(n):
+        if k == len(drawn) and stream.error is None:
+            try:
+                drawn.append(draw(stream.rng))
+            except (AlgebraError, ConsistencyError) as exc:
+                stream.error = (type(exc), exc.args)
+        if k == len(drawn):
+            error, args = stream.error
+            raise error(*args)
+        yield drawn[k]
+
+
+def _sampler(domain: DomainHandle, spec: SampleSpec, fg=True, integral=False):
+    """One seeded draw of the domain's engine, as a handle."""
+    sample = domain.engine.sample_fg_ideal if fg else domain.engine.sample_ideal
+    return lambda rng: make_handle(domain, sample(rng, spec, integral=integral))
+
+
 def probe_stream(domain: DomainHandle, spec: SampleSpec, n=None, integral=False, fg=False):
     """Canonical landmarks, then seeded samples, drawn in seed order only as
     the caller consumes them: a search that stops at its first decision
@@ -54,10 +103,9 @@ def probe_stream(domain: DomainHandle, spec: SampleSpec, n=None, integral=False,
         v = domain.overring_unit
         if not handle_eq(v, landmarks[0]):
             landmarks.append(v)
-    rng = spec.rng(f"probe/{domain.name}/{integral}/{fg}")
-    sampler = domain.engine.sample_fg_ideal if fg else domain.engine.sample_ideal
     want = n if n is not None else spec.count
-    drawn = (make_handle(domain, sampler(rng, spec, integral=integral)) for _ in range(want + 2 - len(landmarks)))
+    drawn = seeded(domain, spec, f"probe/{domain.name}/{integral}/{fg}", _sampler(domain, spec, fg, integral),
+                   want + 2 - len(landmarks))
     for h in itertools.chain(landmarks, drawn):
         if (not integral or handle_is_integral(h)) and (not fg or h.finitely_generated):
             yield h
@@ -67,20 +115,18 @@ def probe_ideals(domain: DomainHandle, spec: SampleSpec, n=None, integral=False,
     """Deterministic list of ideals: canonical landmarks plus seeded samples,
     the whole of `probe_stream`.  Searches iterate the stream instead: it
     draws in the same seed order and stops at the first decision, so their
-    results are identical to a search over this full list."""
+    results are identical to a search over this full list.  The samples are
+    drawn once per spec: a smaller `n` reads a prefix of a larger one, and a
+    second call replays the first call's handles."""
     return list(probe_stream(domain, spec, n, integral, fg))
 
 
 def fg_pair_stream(domain: DomainHandle, spec: SampleSpec, n=None):
     """Seeded pairs of finitely generated integral ideals (both nonzero),
     drawn in seed order only as the caller consumes them."""
-    rng = spec.rng(f"pairs/{domain.name}")
-
-    def draw():
-        return make_handle(domain, domain.engine.sample_fg_ideal(rng, spec, integral=True))
-
-    for _ in range(n if n is not None else spec.count):
-        yield draw(), draw()
+    draw = _sampler(domain, spec, integral=True)
+    return seeded(domain, spec, f"pairs/{domain.name}", lambda rng: (draw(rng), draw(rng)),
+                  n if n is not None else spec.count)
 
 
 def fg_ideal_pairs(domain: DomainHandle, spec: SampleSpec, n=None):
@@ -130,8 +176,7 @@ def is_star_finite(op: SemistarOp, i: IdealHandle, spec: SampleSpec, within: boo
                 detail="support-below-envelope: the image reaches a level no subideal's closure can",
             )
     # search for an explicit witness, drawing samples only until one is found
-    rng = spec.rng(f"finite/{dom.name}")
-    drawn = (make_handle(dom, dom.engine.sample_fg_ideal(rng, spec)) for _ in range(spec.count))
+    drawn = seeded(dom, spec, f"finite/{dom.name}", _sampler(dom, spec), spec.count)
     landmarks = [] if within else [unit_handle(dom), dom.overring_unit]
     for j in itertools.chain(landmarks, drawn):
         if within and not handle_leq(j, i):
@@ -253,8 +298,7 @@ def _coherent_pool(domain, op, spec):
     """The 24 seeded fg candidates of a Coherent check with their images,
     each drawn and closed once, on first need, and replayable from the
     start by every pair (`copy.copy` of a tee shares its buffer)."""
-    rng = spec.rng(f"coh/{domain.name}")
-    drawn = (make_handle(domain, domain.engine.sample_fg_ideal(rng, spec)) for _ in range(24))
+    drawn = seeded(domain, spec, f"coh/{domain.name}", _sampler(domain, spec), 24)
     return itertools.tee(((j, apply(op, j)) for j in drawn if j.finitely_generated), 1)[0]
 
 
@@ -337,8 +381,6 @@ def coherence_check(domain: DomainHandle, kind: str, op: SemistarOp, spec: Sampl
             sub = is_star_finite(op, meet, spec, within=True)
             if sub.is_refuted:
                 return refuted(e, f, detail=f"no finitely generated J inside the meet closes onto it: {sub.detail}")
-        from .operations import known_stable
-
         if known_stable(op, domain) and "all_fg" in domain.capabilities:
             # stability kills the gap and the meet is its own witness
             return holds("stable-all-fg", detail="J = E meet F is finitely generated and closes onto the meet of the images")
@@ -362,8 +404,6 @@ def _raw_quasi_maximals(op: SemistarOp, domain: DomainHandle):
 def h_clauses(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> dict:
     """The decidable clauses of the finite-character equivalence, each exact
     on these families (the nonzero prime spectrum is {M} in rank one)."""
-    from .operations import ops_equal_on, quasi_star_maximals
-
     out = {}
     dstar = unit_image(op, domain)
     m = maximal_handle(domain)
@@ -414,7 +454,7 @@ def h_clauses(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> dict:
     return out
 
 
-def is_H_domain(domain: DomainHandle, op: SemistarOp, spec: SampleSpec = SampleSpec()) -> Verdict:
+def is_H_domain(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Verdict:
     if known_finite_type(op):
         return holds("finite-type", detail="finite-type operations satisfy the finite-character condition trivially")
     if "all_fg" in domain.capabilities:
@@ -455,10 +495,6 @@ def is_star_noetherian(domain: DomainHandle, op: SemistarOp, chain_length: int =
     if "noetherian" in domain.capabilities:
         return holds("noetherian")
     group = domain.payload_group
-    from fractions import Fraction
-
-    from .algebra.groups import Segment
-
     cuts = []
     if group.kind == "Q":
         cuts = [Fraction(1, n) for n in range(1, chain_length + 1)]

@@ -7,7 +7,7 @@ Unknown carries the sampling parameters that failed to decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 HOLDS = "holds"
@@ -61,13 +61,20 @@ def unknown(samples: int, detail: str = "") -> Verdict:
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """Deterministic sampling parameters; identical spec, identical samples."""
+    """Deterministic sampling parameters; identical spec, identical samples.
+
+    A spec draws each seeded stream once and replays it: `draws` holds the
+    prefix of every stream drawn under this spec (see `classify.seeded`), so
+    the predicates checked together on one spec share one sample universe.
+    It lives as long as the spec and takes no part in its equality, hash or
+    repr."""
 
     seed: int = 0
     count: int = 200
     generator_bound: int = 4
     denominator_bound: int = 12
     value_window: int = 8
+    draws: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def rng(self, salt: str = ""):
         import random

@@ -317,12 +317,95 @@ def test_coherence_on_a_valuation_domain_draws_nothing(monkeypatch, dom_vq, dom_
 def test_refuting_star_domain_stops_at_the_refuting_probe(monkeypatch, dom_pvd):
     from semistar import classify
 
+    spec = SampleSpec(seed=5, count=60)  # its own draws: a shared spec replays earlier tests' samples
     drawn = _count_draws(monkeypatch, dom_pvd)
     # the maximal ideal is a landmark and refutes before any sample is drawn
-    assert is_star_domain(dom_pvd, st_op("V"), SPEC).is_refuted
+    assert is_star_domain(dom_pvd, st_op("V"), spec).is_refuted
     assert drawn == []
     # a refutation at the first sampled probe draws exactly that probe
     monkeypatch.setattr(classify, "is_star_invertible", lambda op, i: i.payload not in drawn)
-    verdict = is_star_domain(dom_pvd, st_op("V"), SPEC)
+    verdict = is_star_domain(dom_pvd, st_op("V"), spec)
     assert verdict.is_refuted and len(drawn) == 1
     assert verdict.witness[0].payload == drawn[0]
+
+
+# ---------------------------------------------------------------------------
+# a spec draws each seeded stream once and replays it
+
+def test_probe_ideals_replay_one_prefix(dom_pvd):
+    spec = SampleSpec(seed=7, count=40)
+    short = probe_ideals(dom_pvd, spec, n=24)
+    long = probe_ideals(dom_pvd, spec, n=32)
+    fresh = probe_ideals(dom_pvd, SampleSpec(seed=7, count=40), n=32)
+    assert [h.payload for h in short] == [h.payload for h in long[: len(short)]]
+    assert [h.payload for h in long] == [h.payload for h in fresh]
+    assert len(short) < len(long)
+    # a replay hands out the handles drawn first, not equal copies
+    assert all(a is b for a, b in zip(short, long))
+
+
+def test_probe_ideals_below_the_landmark_count_yield_the_landmarks(dom_pvd):
+    landmarks = [unit_handle(dom_pvd), maximal_handle(dom_pvd), dom_pvd.overring_unit]
+    for n in (0, 1):
+        assert probe_ideals(dom_pvd, SampleSpec(seed=7, count=40), n=n) == landmarks
+
+
+def test_a_failed_draw_fails_again_at_the_same_index(monkeypatch, K_quad):
+    from semistar.algebra import AlgebraError
+    from semistar.classify import fg_pair_stream
+    from semistar.operations import pullback_domain
+
+    dom = pullback_domain(K_quad, "Z", "pvd-failing-draw")
+    drawn = _count_draws(monkeypatch, dom)
+    engine_type = type(dom.engine)
+    counted = engine_type.sample_fg_ideal
+
+    def failing(self, *args, **kwargs):
+        if len(drawn) == 5:
+            raise AlgebraError("no finitely generated sample in 1000 attempts")
+        return counted(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine_type, "sample_fg_ideal", failing)
+    spec = SampleSpec(seed=3, count=10)
+    for _ in range(2):  # the second consumer replays the stored prefix, then the failure
+        seen = []
+        with pytest.raises(AlgebraError, match="1000 attempts"):
+            for pair in fg_pair_stream(dom, spec):
+                seen.append(pair)
+        assert len(seen) == 2  # pairs 0 and 1 took draws 0-3; pair 2 failed at draw 5
+        assert len(drawn) == 5
+    monkeypatch.setattr(engine_type, "sample_fg_ideal", counted)
+    with pytest.raises(AlgebraError, match="1000 attempts"):
+        list(fg_pair_stream(dom, spec))  # stored: the sampler is not asked again
+    assert len(drawn) == 5
+
+
+def test_theorem_suite_draws_each_sample_once(monkeypatch, K_quad):
+    """Every engine sampler call of one suite starts from a fresh rng state,
+    so no (salt, index) of a seeded stream is drawn twice."""
+    from semistar import theorems
+    from semistar.operations import pullback_domain
+
+    dom = pullback_domain(K_quad, "Z", "pvd-draw-once")
+    calls = []
+    depth = [0]
+    engine_type = type(dom.engine)
+    for name in ("sample_ideal", "sample_fg_ideal"):
+        original = getattr(engine_type, name)
+
+        def counted(self, rng, *args, _name=name, _original=original, **kwargs):
+            if depth[0] == 0:  # the fg sampler calls the plain one inside
+                calls.append((_name, rng.getstate()))
+            depth[0] += 1
+            try:
+                return _original(self, rng, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(engine_type, name, counted)
+    spec = SampleSpec(seed=0, count=2)
+    theorems.theorem_suite(dom, v_op(), spec)
+    assert calls and len(calls) == len(set(calls))
+    # each stored index took one call, and a pair two
+    stored = sum(len(s.drawn) * (2 if salt.startswith("pairs/") else 1) for (_, salt), s in spec.draws.items())
+    assert len(calls) == stored

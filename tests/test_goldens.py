@@ -74,3 +74,15 @@ def test_suite_golden_samples20(capsys):
 
     main(["--suite", "--samples", "20", "--seed", "0"])
     _check_or_regen("suite_seed0_samples20.txt", capsys.readouterr().out)
+
+
+def test_suite_golden_seed1_samples60(capsys):
+    """One spec serves the whole suite, so every operation of a domain
+    replays the streams the first one drew; on the two Q[a]/(a^2-2)
+    pullbacks the star-domain checks refute at the landmark M before any
+    draw, so is_eab, a later consumer, is the first to extend the fg probe
+    stream."""
+    from semistar.cli import main
+
+    main(["--suite", "--samples", "60", "--seed", "1"])
+    _check_or_regen("suite_seed1_samples60.txt", capsys.readouterr().out)
