@@ -198,43 +198,44 @@ def is_star_domain(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Ve
     return unknown(spec.count)
 
 
-def is_pstarmd(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Verdict:
-    routes = {
-        "finite-type-route": is_star_domain(domain, ft_op(op), spec),
-        "tilde-route": is_star_domain(domain, tilde_op(op), spec),
-    }
-    direct = holds("valuation-fg-principal") if "valuation" in domain.capabilities else None
-    if direct is None:
-        fop = ft_op(op)
-        direct = unknown(spec.count)
-        for i in probe_stream(domain, spec, n=spec.count, fg=True):
-            if not is_star_invertible(fop, i):
-                direct = refuted(i, detail="finitely generated ideal that is not invertible under the finite-type closure")
-                break
-    routes["direct-route"] = direct
-    decided_holds = [k for k, v in routes.items() if v.is_holds]
-    decided_refuted = [k for k, v in routes.items() if v.is_refuted]
+def _agreed(verdicts: dict, what: str):
+    """The name of the first refuted verdict, else of the first that holds,
+    else None; a holds beside a refuted raises ConsistencyError."""
+    decided_holds = [k for k, v in verdicts.items() if v.is_holds]
+    decided_refuted = [k for k, v in verdicts.items() if v.is_refuted]
     if decided_holds and decided_refuted:
-        raise ConsistencyError(f"pstarmd routes disagree: {routes}")
-    if decided_refuted:
-        return routes[decided_refuted[0]]
-    if decided_holds:
-        return routes[decided_holds[0]]
-    return unknown(spec.count)
+        raise ConsistencyError(f"{what} disagree: {verdicts}")
+    return (decided_refuted or decided_holds or [None])[0]
+
+
+def pstarmd_verdict(ft_route: Verdict, tilde_route: Verdict, spec: SampleSpec) -> Verdict:
+    """The P*MD verdict from the star-domain verdicts of the finite-type
+    closure and of the tilde closure, which must agree."""
+    routes = {"finite-type-route": ft_route, "tilde-route": tilde_route}
+    name = _agreed(routes, "pstarmd routes")
+    return routes[name] if name else unknown(spec.count)
+
+
+def is_pstarmd(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Verdict:
+    """P*MD: every finitely generated ideal is invertible under the
+    finite-type closure of op (the finite-type route), equivalently under
+    its tilde closure (the tilde route)."""
+    return pstarmd_verdict(is_star_domain(domain, ft_op(op), spec), is_star_domain(domain, tilde_op(op), spec), spec)
 
 
 def _induced_by_valuation_overring(op: SemistarOp, domain: DomainHandle) -> bool:
     if op.kind == "st" and op.tag in ("V", "ic"):
         return True  # V, or the hull ring of a semigroup ring, is a valuation ring
-    if op.kind == "desc" and op.tag in ("V", "ic"):
+    if op.kind == "desc":
         return op.inner.kind == "identity"
     return False
 
 
-def _cancellation_verdict(domain, op, spec, fg_only: bool) -> Verdict:
-    sd = is_star_domain(domain, op, spec)
-    if sd.is_holds:
-        return holds("star-domain-cancellation", detail=sd.reason)
+def cancellation_verdict(domain, op, spec, star_domain: Verdict, fg_only: bool) -> Verdict:
+    """The a.b. verdict (e.a.b. when fg_only) given the star-domain verdict of
+    op: a star-domain cancels, otherwise search for a cancellation failure."""
+    if star_domain.is_holds:
+        return holds("star-domain-cancellation", detail=star_domain.reason)
     if _induced_by_valuation_overring(op, domain):
         return holds("valuation-overring-ab")
     window = domain.engine.ideal_window()
@@ -265,11 +266,11 @@ def _cancellation_verdict(domain, op, spec, fg_only: bool) -> Verdict:
 
 
 def is_eab(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Verdict:
-    return _cancellation_verdict(domain, op, spec, fg_only=True)
+    return cancellation_verdict(domain, op, spec, is_star_domain(domain, op, spec), fg_only=True)
 
 
 def is_ab(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Verdict:
-    return _cancellation_verdict(domain, op, spec, fg_only=False)
+    return cancellation_verdict(domain, op, spec, is_star_domain(domain, op, spec), fg_only=False)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +286,7 @@ def _maps_into_chain(op: SemistarOp, domain: DomainHandle) -> bool:
     """True when every image of the operation is a module over a valuation
     overring, so that images are totally ordered by inclusion.  Valuation
     domains never ask: coherence_check decides them first."""
-    if op.kind == "st" and op.tag in ("V", "ic"):
-        return True
-    if op.kind == "desc" and op.tag in ("V", "ic"):
+    if op.kind == "st" and op.tag in ("V", "ic") or op.kind == "desc":
         return True
     if op.kind == "ft":
         return _maps_into_chain(op.inner, domain)
@@ -460,17 +459,13 @@ def is_H_domain(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Verdi
     if "all_fg" in domain.capabilities:
         return holds("all-representable-ideals-finitely-generated")
     clauses = h_clauses(domain, op, spec)
-    decided_h = [k for k, v in clauses.items() if v.is_holds]
-    decided_r = [k for k, v in clauses.items() if v.is_refuted]
-    if decided_h and decided_r:
-        raise ConsistencyError(f"H clauses disagree: {clauses}")
-    if decided_r:
-        v = clauses[decided_r[0]]
-        return refuted(*v.witness, detail=f"{decided_r[0]}: {v.detail}")
-    if decided_h:
-        v = clauses[decided_h[0]]
-        return holds(v.reason, detail=f"{decided_h[0]}: {v.detail}")
-    return unknown(len(clauses))
+    name = _agreed(clauses, "H clauses")
+    if name is None:
+        return unknown(len(clauses))
+    v = clauses[name]
+    if v.is_refuted:
+        return refuted(*v.witness, detail=f"{name}: {v.detail}")
+    return holds(v.reason, detail=f"{name}: {v.detail}")
 
 
 def is_I_domain(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Verdict:
@@ -516,6 +511,13 @@ def is_star_dedekind(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> 
     p = is_pstarmd(domain, op, spec)
     n = is_star_noetherian(domain, op)
     s = is_star_domain(domain, op, spec)
+    return dedekind_verdict(p, n, s, spec)
+
+
+def dedekind_verdict(p: Verdict, n: Verdict, s: Verdict, spec: SampleSpec) -> Verdict:
+    """The star-Dedekind verdict from the P*MD (p), star-noetherian (n) and
+    star-domain (s) verdicts: a star-Dedekind domain is a noetherian P*MD,
+    equivalently a noetherian star-domain."""
     # the two routes of the equivalence must not contradict each other
     if p.is_holds and n.is_holds and s.is_refuted:
         raise ConsistencyError("P*MD with refuted star-domain")

@@ -17,6 +17,7 @@ from .operations import (
     DomainHandle,
     IdealHandle,
     SemistarOp,
+    UnsupportedOperation,
     apply,
     asc_op,
     bar_op,
@@ -483,8 +484,6 @@ class EvalError(ValueError):
 
 
 def eval_expr(node, domain: DomainHandle) -> IdealHandle:
-    from .operations import UnsupportedOperation
-
     try:
         return _eval(node, domain)
     except EvalError:

@@ -48,6 +48,7 @@ from .algebra.fields import AlgebraError
 from .algebra.groups import Segment, ValueGroup, segment_add, segment_colon, segment_intersect, segment_union, segment_shift
 from .dplusm import DomainPrime, PullbackDomain, ValuationDomain
 from .numsgr import NumericalSemigroup
+from .verdict import Verdict, holds, refuted, unknown
 
 
 class UnsupportedOperation(Exception):
@@ -110,12 +111,12 @@ def tilde_op(inner: SemistarOp) -> SemistarOp:
     return SemistarOp("tilde", inner=inner)
 
 
-def asc_op(inner: SemistarOp, tag: str = "V") -> SemistarOp:
-    return SemistarOp("asc", inner=inner, tag=tag)
+def asc_op(inner: SemistarOp) -> SemistarOp:
+    return SemistarOp("asc", inner=inner)
 
 
-def desc_op(inner: SemistarOp, tag: str = "V") -> SemistarOp:
-    return SemistarOp("desc", inner=inner, tag=tag)
+def desc_op(inner: SemistarOp) -> SemistarOp:
+    return SemistarOp("desc", inner=inner)
 
 
 def t_op() -> SemistarOp:
@@ -611,11 +612,14 @@ class _ValuationEngine:
 class _PullbackEngine:
     overring_atom = True
     homogeneous = False
-    spectrum_decidable = True
 
     def __init__(self, pd: PullbackDomain):
         self.pd = pd
         self.group = pd.group
+
+    @property
+    def spectrum_decidable(self) -> bool:
+        return self.group.kind != "ZxZ"  # P1 inside M is a second nonzero prime of k + M
 
     @cached_property
     def capabilities(self) -> frozenset:
@@ -860,26 +864,18 @@ def _spectral_apply(op: SemistarOp, e: IdealHandle) -> IdealHandle:
     return make_handle(over, dom.engine.localize(e.payload))
 
 
-def _overring_domain(dom: DomainHandle, tag: str) -> DomainHandle:
-    if tag == "K":
-        raise UnsupportedOperation("the quotient field is not an overring with its own ideal engine")
-    return dom.overring
-
-
 def _ascent_apply(op: SemistarOp, e: IdealHandle) -> IdealHandle:
     # the ascended operation only acts on modules over the overring; there it
     # is the restriction of the original map
-    e.domain.engine.to_overring(e, _overring_domain(e.domain, op.tag))  # raises if e is not an overring module
+    e.domain.engine.to_overring(e, e.domain.overring)  # raises if e is not an overring module
     return apply(op.inner, e)
 
 
 def _descent_apply(op: SemistarOp, e: IdealHandle) -> IdealHandle:
     dom = e.domain
     eng = dom.engine
-    if op.tag == "K":
-        return make_handle(dom, eng.whole())
-    extended = make_handle(dom, eng.extend(op.tag, e.payload))
-    over = eng.to_overring(extended, _overring_domain(dom, op.tag))
+    extended = make_handle(dom, eng.extend("V", e.payload))
+    over = eng.to_overring(extended, dom.overring)
     image = apply(op.inner, over)
     if image.domain != over.domain:
         raise UnsupportedOperation("descent through a domain-changing operation")
@@ -1004,10 +1000,8 @@ def _form_separating_probe(form1: str, form2: str, dom: DomainHandle) -> IdealHa
     return unit_handle(dom)
 
 
-def ops_equal_on(op1: SemistarOp, op2: SemistarOp, universe) -> "Verdict":
+def ops_equal_on(op1: SemistarOp, op2: SemistarOp, universe) -> Verdict:
     """Equality of two operations, decided exactly where the family allows."""
-    from .verdict import holds, refuted, unknown
-
     dom = universe[0].domain
     if op1 == op2:
         return holds("same-term")
@@ -1032,9 +1026,7 @@ def ops_equal_on(op1: SemistarOp, op2: SemistarOp, universe) -> "Verdict":
     return unknown(len(universe), detail="agree on the whole universe")
 
 
-def op_leq(op1: SemistarOp, op2: SemistarOp, universe) -> "Verdict":
-    from .verdict import holds, refuted, unknown
-
+def op_leq(op1: SemistarOp, op2: SemistarOp, universe) -> Verdict:
     tag = op_leq_syntactic(op1, op2)
     if tag is not None:
         return holds(tag)

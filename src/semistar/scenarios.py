@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from . import classify, exprs
 from .classify import probe_ideals
-from .operations import handle_eq, handle_leq, ops_equal_on
-from .verdict import SampleSpec
+from .operations import handle_eq, handle_leq, ops_equal_on, quasi_star_maximals
+from .verdict import SampleSpec, holds, refuted
 
 
 @dataclass(frozen=True)
@@ -198,19 +198,12 @@ def _run_verdict(domain, assertion: Assertion, spec: SampleSpec):
     pred = assertion.predicate
     if pred == "fg":
         h = exprs.eval_expr(exprs.parse_expr(assertion.target, domain), domain)
-        from .verdict import holds, refuted
-
         return holds("witnessed") if h.finitely_generated else refuted(h, detail="no finite witness")
     if pred == "invertible":
         h = exprs.eval_expr(exprs.parse_expr(assertion.target, domain), domain)
-        from .verdict import holds, refuted
-
         ok = classify.is_star_invertible(op, h)
         return holds("computed") if ok else refuted(h, detail="not star-invertible")
     if pred == "quasi":
-        from .operations import quasi_star_maximals
-        from .verdict import holds, refuted
-
         maxes = quasi_star_maximals(op, domain)
         return holds("maximal-ideal-quasi") if maxes == ("M",) else refuted(maxes, detail="empty quasi spectrum")
     if pred == "star_finite":

@@ -23,7 +23,6 @@ from .classify import (
 from .operations import (
     DomainHandle,
     SemistarOp,
-    UnsupportedMaximalSpectrum,
     UnsupportedOperation,
     apply,
     bar_op,
@@ -40,7 +39,7 @@ from .operations import (
     tilde_op,
     unit_handle,
 )
-from .verdict import SampleSpec, Verdict
+from .verdict import SampleSpec, Verdict, holds, unknown
 
 OK = "ok"
 VIOLATION = "violation"
@@ -103,8 +102,13 @@ def _biconditional(check: str, lhs: Verdict, rhs: Verdict) -> SuiteLine:
     return SuiteLine(check, OK, f"{lhs.summary()} == {rhs.summary()}")
 
 
-def _sampled_identity(check: str, passed: bool, witness="") -> SuiteLine:
-    return SuiteLine(check, OK if passed else VIOLATION, "" if passed else f"identity failed at {witness}")
+def _sampled_identity(check: str, bad) -> SuiteLine:
+    return SuiteLine(check, OK if bad is None else VIOLATION, "" if bad is None else f"identity failed at {bad}")
+
+
+def _first_failure(pairs, identity):
+    """The first pair (e, f) at which identity(e, f) fails, or None."""
+    return next(((e, f) for e, f in pairs if not identity(e, f)), None)
 
 
 def theorem_suite(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> SuiteReport:
@@ -112,9 +116,18 @@ def theorem_suite(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Sui
     lines = report.lines
     universe = probe_ideals(domain, spec, n=32)
     pairs = fg_ideal_pairs(domain, spec, n=min(spec.count, 60))
+    star_domains = {}  # op -> its star-domain verdict, for this call only
 
-    star_domain = classify.is_star_domain(domain, op, spec)
-    pstarmd = classify.is_pstarmd(domain, op, spec)
+    def star_domain_of(o):
+        if o not in star_domains:
+            star_domains[o] = classify.is_star_domain(domain, o, spec)
+        return star_domains[o]
+
+    def pstarmd_of(o):
+        return classify.pstarmd_verdict(star_domain_of(ft_op(o)), star_domain_of(tilde_op(o)), spec)
+
+    star_domain = star_domain_of(op)
+    pstarmd = pstarmd_of(op)
     coh = {k: classify.coherence_check(domain, k, op, spec)
            for k in (EXTRACOHERENT, COHERENT, TRULY_COHERENT, QUASI_COHERENT)}
 
@@ -122,84 +135,60 @@ def theorem_suite(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Sui
     tilde_vs_ft = ops_equal_on(tilde_op(op), ft_op(op), universe)
     try:
         tilde_vs_barft = ops_equal_on(tilde_op(op), ft_op(bar_op(op)), universe)
-    except (UnsupportedOperation, UnsupportedMaximalSpectrum):
+    except UnsupportedOperation:
         tilde_vs_barft = None
     try:
         barft_vs_ft = ops_equal_on(ft_op(bar_op(op)), ft_op(op), universe)
-    except (UnsupportedOperation, UnsupportedMaximalSpectrum):
+    except UnsupportedOperation:
         barft_vs_ft = None
 
     # --- monotone transfer of the star-domain property
-    for smaller, larger, tag in ((ft_op(op), op, "finite-type"), (bar_op(op), op, "stable-closure")):
-        if smaller == larger:
-            continue
-        order = op_leq(smaller, larger, universe)
-        if not order.is_holds:
+    for smaller, tag in ((ft_op(op), "finite-type"), (bar_op(op), "stable-closure")):
+        if smaller == op or not op_leq(smaller, op, universe).is_holds:
             continue
         try:
-            sd_small = classify.is_star_domain(domain, smaller, spec)
-        except (UnsupportedOperation, UnsupportedMaximalSpectrum):
+            sd_small = star_domain_of(smaller)
+        except UnsupportedOperation:
             continue
         lines.append(_implication(f"star-domain-monotone-{tag}", sd_small, star_domain))
 
     # --- P*MD basics
     lines.append(_implication("pstarmd-implies-star-domain", pstarmd, star_domain))
     try:
-        sd_bar = classify.is_star_domain(domain, bar_op(op), spec)
+        sd_bar = star_domain_of(bar_op(op))
         lines.append(_biconditional("star-domain-iff-stable-closure", star_domain, sd_bar))
-    except (UnsupportedOperation, UnsupportedMaximalSpectrum):
+    except UnsupportedOperation:
         pass
-    ab = classify.is_ab(domain, op, spec)
-    eab = classify.is_eab(domain, op, spec)
+    ab = classify.cancellation_verdict(domain, op, spec, star_domain, fg_only=False)
+    eab = classify.cancellation_verdict(domain, op, spec, star_domain, fg_only=True)
     lines.append(_implication("star-domain-implies-ab", star_domain, ab))
     lines.append(_implication("pstarmd-implies-eab", pstarmd, eab))
 
     # --- the invertibility characterization (F(E:F))^op = E^op
     if star_domain.is_holds:
-        bad = None
-        for e, f in pairs[: min(40, len(pairs))]:
-            lhs = apply(op, handle_mul(f, handle_colon(e, f)))
-            if not handle_eq(lhs, apply(op, e)):
-                bad = (e, f)
-                break
-        lines.append(_sampled_identity("star-domain-colon-product-identity", bad is None, bad))
+        lines.append(_sampled_identity("star-domain-colon-product-identity", _first_failure(
+            pairs[:40], lambda e, f: handle_eq(apply(op, handle_mul(f, handle_colon(e, f))), apply(op, e)))))
         # and the quotient form (E F^{-1})^op = (E^op : F)
-        bad = None
-        for e, f in pairs[: min(40, len(pairs))]:
-            lhs = apply(op, handle_mul(e, handle_inverse(f)))
-            rhs = handle_colon(apply(op, e), f)
-            if not handle_eq(lhs, rhs):
-                bad = (e, f)
-                break
-        lines.append(_sampled_identity("star-domain-inverse-colon-identity", bad is None, bad))
+        lines.append(_sampled_identity("star-domain-inverse-colon-identity", _first_failure(
+            pairs[:40], lambda e, f: handle_eq(apply(op, handle_mul(e, handle_inverse(f))),
+                                               handle_colon(apply(op, e), f)))))
     else:
         lines.append(SuiteLine("star-domain-colon-product-identity", VACUOUS, "not established as a star-domain"))
 
     # --- a star-domain is quasi-star-integrally closed; only the nontrivial
     # containment (each (F^op : F^op) inside D^op) is decidable from samples
     if star_domain.is_holds:
-        unit = unit_handle(domain)
-        dstar = apply(op, unit)
-        bad = None
-        for e, _ in pairs[: min(40, len(pairs))]:
-            endo = handle_colon(apply(op, e), apply(op, e))
-            if not handle_leq(endo, dstar):
-                bad = e
-                break
-        lines.append(_sampled_identity("quasi-integrally-closed-containment", bad is None, bad))
+        dstar = apply(op, unit_handle(domain))
+        bad = _first_failure(pairs[:40], lambda e, f: handle_leq(handle_colon(apply(op, e), apply(op, e)), dstar))
+        lines.append(_sampled_identity("quasi-integrally-closed-containment", None if bad is None else bad[0]))
 
     # --- restricted colon transfer on integrally closed star-domains
     if star_domain.is_holds and "integrally_closed" in domain.capabilities:
         unit = unit_handle(domain)
         dstar = apply(op, unit)
-        bad = None
-        for e, f in pairs[: min(40, len(pairs))]:
-            lhs = apply(op, handle_intersect(handle_colon(e, f), unit))
-            rhs = handle_intersect(handle_colon(apply(op, e), f), dstar)
-            if not handle_eq(lhs, rhs):
-                bad = (e, f)
-                break
-        lines.append(_sampled_identity("restricted-colon-transfer", bad is None, bad))
+        lines.append(_sampled_identity("restricted-colon-transfer", _first_failure(
+            pairs[:40], lambda e, f: handle_eq(apply(op, handle_intersect(handle_colon(e, f), unit)),
+                                               handle_intersect(handle_colon(apply(op, e), f), dstar)))))
 
     # --- coherence lattice
     lines.append(_implication("extracoherent-implies-coherent", coh[EXTRACOHERENT], coh[COHERENT]))
@@ -215,15 +204,10 @@ def theorem_suite(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Sui
 
     # --- a P*MD satisfies the intersection-product identity under tilde
     top = tilde_op(op)
-    bad = None
-    for e, f in pairs:
-        lhs = apply(top, handle_mul(handle_add(e, f), handle_intersect(e, f)))
-        rhs = apply(top, handle_mul(e, f))
-        if not handle_eq(lhs, rhs):
-            bad = (e, f)
-            break
+    bad = _first_failure(pairs, lambda e, f: handle_eq(apply(top, handle_mul(handle_add(e, f), handle_intersect(e, f))),
+                                                       apply(top, handle_mul(e, f))))
     if pstarmd.is_holds:
-        lines.append(_sampled_identity("pstarmd-sum-meet-product-identity", bad is None, bad))
+        lines.append(_sampled_identity("pstarmd-sum-meet-product-identity", bad))
     else:
         lines.append(SuiteLine(
             "pstarmd-sum-meet-product-identity",
@@ -238,9 +222,9 @@ def theorem_suite(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Sui
     lines.append(_implication("extracoherent-implies-tilde-equals-finite-type",
                               coh[EXTRACOHERENT], tilde_vs_ft))
 
-    # --- Dedekind corollary cross-check happens inside is_star_dedekind
+    # --- Dedekind corollary; its two routes are cross-checked in dedekind_verdict
     noeth = classify.is_star_noetherian(domain, op)
-    ded = classify.is_star_dedekind(domain, op, spec)
+    ded = classify.dedekind_verdict(pstarmd, noeth, star_domain, spec)
     lines.append(_biconditional("dedekind-iff-noetherian-star-domain", ded, _conj(noeth, star_domain)))
 
     # --- finite-character section
@@ -264,9 +248,9 @@ def theorem_suite(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Sui
         lines.append(_implication("tilde-equals-stable-ft-implies-i-domain", tilde_vs_barft, i))
     lines.append(_implication("star-domain-and-i-domain-implies-pstarmd", _conj(star_domain, i), pstarmd))
     try:
-        pstarmd_bar = classify.is_pstarmd(domain, bar_op(op), spec)
+        pstarmd_bar = pstarmd_of(bar_op(op))
         lines.append(_biconditional("pstarmd-iff-stable-closure-pstarmd", pstarmd, pstarmd_bar))
-    except (UnsupportedOperation, UnsupportedMaximalSpectrum):
+    except UnsupportedOperation:
         pass
 
     # --- final equivalence: P*MD iff a.b./e.a.b. plus tilde = finite type
@@ -279,8 +263,6 @@ def theorem_suite(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Sui
 
 
 def _conj(a: Verdict, b: Verdict) -> Verdict:
-    from .verdict import holds, unknown
-
     if a.is_refuted:
         return a
     if b.is_refuted:

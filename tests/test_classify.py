@@ -25,6 +25,7 @@ from semistar.classify import (
 )
 from semistar.operations import (
     apply,
+    bar_op,
     d_op,
     handle_eq,
     handle_inverse,
@@ -234,20 +235,19 @@ def test_quasi_chain_members_integral(dom_vq):
 
 
 def test_theorem_suite_computes_each_fact_once(monkeypatch, K_quad, K_triv):
-    """One suite evaluates is_ab and is_eab once each and builds each
-    (domain, op) localizing system once, a failed one included."""
+    """One suite runs the a.b. and the e.a.b. search once each and builds
+    each (domain, op) localizing system once, a failed one included."""
     from semistar import classify, operations, theorems
     from semistar.operations import UnsupportedOperation, pullback_domain, semigroup_domain, valuation_domain
 
-    calls = {"is_ab": 0, "is_eab": 0}
-    for name in calls:
-        original = getattr(classify, name)
+    calls = {"ab": 0, "eab": 0}
+    original = classify.cancellation_verdict
 
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+    def counted(domain, op, spec, star_domain, fg_only):
+        calls["eab" if fg_only else "ab"] += 1
+        return original(domain, op, spec, star_domain, fg_only)
 
-        monkeypatch.setattr(classify, name, counted)
+    monkeypatch.setattr(classify, "cancellation_verdict", counted)
     systems = []
     original_ls = operations._localizing_system
 
@@ -263,9 +263,9 @@ def test_theorem_suite_computes_each_fact_once(monkeypatch, K_quad, K_triv):
     for domain, op in ((pullback_domain(K_quad, "Z", "pvd-count"), v_op()),
                        (semigroup_domain([3, 4, 5], "numsgr-count"), v_op()),
                        (vq, v_op()), (vq, st_op("K"))):
-        calls.update(is_ab=0, is_eab=0)
+        calls.update(ab=0, eab=0)
         theorems.theorem_suite(domain, op, spec)
-        assert calls == {"is_ab": 1, "is_eab": 1}
+        assert calls == {"ab": 1, "eab": 1}
     keys = [(id(d), op) for d, op, _ in systems]
     assert len(keys) == len(set(keys))
     assert {outcome for _, _, outcome in systems} == {"built", "failed"}
@@ -273,6 +273,64 @@ def test_theorem_suite_computes_each_fact_once(monkeypatch, K_quad, K_triv):
     with pytest.raises(UnsupportedOperation, match="constant-field"):
         operations.localizing_system(st_op("K"), vq)
     assert len(systems) == len(keys)
+
+
+def test_theorem_suite_decides_each_star_domain_once(monkeypatch, K_quad, K_triv):
+    """One suite runs is_star_domain at most once per operation: op, ft(op),
+    tilde(op), bar(op), ft(bar op) and tilde(bar op)."""
+    from semistar import classify, theorems
+    from semistar.operations import pullback_domain, semigroup_domain, valuation_domain
+
+    asked = []
+    original = classify.is_star_domain
+
+    def counted(domain, op, spec):
+        asked.append(op)
+        return original(domain, op, spec)
+
+    monkeypatch.setattr(classify, "is_star_domain", counted)
+    spec = SampleSpec(seed=0, count=2)
+    vq = valuation_domain(K_triv, "Q", "v-q-star-once")
+    for domain, op in ((pullback_domain(K_quad, "Z", "pvd-star-once"), v_op()),
+                       (semigroup_domain([3, 4, 5], "numsgr-star-once"), v_op()),
+                       (vq, v_op()), (vq, st_op("K"))):
+        asked.clear()
+        theorems.theorem_suite(domain, op, spec)
+        assert {op, bar_op(op)} <= set(asked)
+        assert len(asked) == len(set(asked)), f"{domain.name} with {op!r}: {asked}"
+
+
+def test_combined_verdicts_reject_a_holds_beside_a_refuted(monkeypatch, dom_vq):
+    from semistar import classify
+    from semistar.classify import dedekind_verdict, pstarmd_verdict
+    from semistar.operations import ConsistencyError
+    from semistar.verdict import holds, refuted, unknown
+
+    yes, no, open_ = holds("t"), refuted(unit_handle(dom_vq)), unknown(1)
+    assert pstarmd_verdict(yes, open_, SPEC) is yes
+    assert pstarmd_verdict(open_, no, SPEC) is no
+    with pytest.raises(ConsistencyError, match="pstarmd routes disagree"):
+        pstarmd_verdict(yes, no, SPEC)
+    with pytest.raises(ConsistencyError, match="P\\*MD with refuted star-domain"):
+        dedekind_verdict(yes, yes, no, SPEC)
+    with pytest.raises(ConsistencyError, match="noetherian star-domain with refuted P\\*MD"):
+        dedekind_verdict(no, yes, yes, SPEC)
+    monkeypatch.setattr(classify, "h_clauses", lambda domain, op, spec: {"a": yes, "b": no})
+    with pytest.raises(ConsistencyError, match="H clauses disagree"):
+        is_H_domain(dom_vq, v_op(), SPEC)
+
+
+def test_rank_two_pullback_leaves_the_rank_one_clauses_undecided(K_quad):
+    """P1 inside M is a second nonzero prime of k + M over ZxZ, so neither
+    the prime-witness clause nor an empty quasi-maximal spectrum may rest
+    on M alone."""
+    from semistar.operations import pullback_domain
+
+    dom = pullback_domain(K_quad, "ZxZ", "pullback-lex")
+    for op in (v_op(), st_op("K")):
+        assert "prime-witness" not in h_clauses(dom, op, SPEC)
+    # M^K = K: M is no quasi-ideal, and P1 is as much a candidate as M
+    assert "maximal-spectra-agree" not in h_clauses(dom, st_op("K"), SPEC)
 
 
 # ---------------------------------------------------------------------------

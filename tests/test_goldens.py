@@ -80,8 +80,8 @@ def test_suite_golden_seed1_samples60(capsys):
     """One spec serves the whole suite, so every operation of a domain
     replays the streams the first one drew; on the two Q[a]/(a^2-2)
     pullbacks the star-domain checks refute at the landmark M before any
-    draw, so is_eab, a later consumer, is the first to extend the fg probe
-    stream."""
+    draw, so the e.a.b. search, a later consumer, is the first to extend
+    the fg probe stream."""
     from semistar.cli import main
 
     main(["--suite", "--samples", "60", "--seed", "1"])

@@ -164,7 +164,7 @@ def test_tilde_with_empty_spectrum_is_constant(dom_vq):
 
 
 def test_descent_equals_extension(dom_pvd):
-    lhs = desc_op(d_op(), "V")
+    lhs = desc_op(d_op())
     rhs = st_op("V")
     for e in probe_ideals(dom_pvd, SPEC, n=30):
         assert handle_eq(apply(lhs, e), apply(rhs, e))
@@ -172,7 +172,7 @@ def test_descent_equals_extension(dom_pvd):
 
 def test_descended_v_closure(dom_pvd):
     """(E V)^{v on V} agrees with the double colon computed over V."""
-    op = desc_op(v_op(), "V")
+    op = desc_op(v_op())
     v_handle = make_handle(dom_pvd, dom_pvd.engine.extend("V", dom_pvd.engine.unit()))
     for e in probe_ideals(dom_pvd, SPEC, n=20):
         lhs = apply(op, e)
@@ -184,9 +184,9 @@ def test_descended_v_closure(dom_pvd):
 def test_ascent_requires_overring_module(dom_pvd):
     d = unit_handle(dom_pvd)
     with pytest.raises(UnsupportedOperation):
-        apply(asc_op(v_op(), "V"), d)
+        apply(asc_op(v_op()), d)
     v_handle = make_handle(dom_pvd, dom_pvd.engine.extend("V", d.payload))
-    assert handle_eq(apply(asc_op(d_op(), "V"), v_handle), v_handle)
+    assert handle_eq(apply(asc_op(d_op()), v_handle), v_handle)
 
 
 def test_unsupported_operations(dom_345):
@@ -343,11 +343,12 @@ def test_sampling_loops_stop_at_their_cap(dom_318):
 
 
 def test_overring_and_localized_domains_are_built_once(dom_pvd, dom_345, dom_vq, dom_lex):
-    from semistar.operations import _overring_domain, spec_op
+    from semistar.operations import spec_op
 
     for domain in (dom_pvd, dom_345, dom_vq):
-        assert _overring_domain(domain, "V") is _overring_domain(domain, "ic")
-        assert _overring_domain(domain, "V") is domain.overring
+        over = domain.overring
+        assert domain.overring is over
+        assert domain.engine.to_overring(domain.overring_unit, over).domain is over
     assert dom_vq.overring is dom_vq
     p1 = spec_op("P1")
     assert apply(p1, unit_handle(dom_lex)).domain is apply(p1, maximal_handle(dom_lex)).domain
