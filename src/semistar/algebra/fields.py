@@ -3,26 +3,63 @@
 Field objects carry the arithmetic; elements stay plain hashable values
 (Fraction for Q, small ints for F_p, coefficient tuples for extensions).
 No floating point is used anywhere.
+
+Extension products run on integers: a table of a^k mod the modulus, built
+once per field, turns a product into one convolution and one pass over the
+table, over Q on integer numerators with one common denominator.  Inverses
+solve the multiplication matrix with the row-reduction kernel of
+``linalg``.  Primality is deterministic Miller-Rabin, and irreducibility
+over F_p is Rabin's test (SIAM J. Comput. 9, 1980).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class AlgebraError(ValueError):
     """Structurally invalid algebra input (bad modulus, zero inverse, mismatch)."""
 
 
+SAMPLE_ATTEMPTS = 1000  # rejection-sampling cap; a hit raises instead of hanging
+
+# Miller-Rabin with the first 13 primes as bases decides primality for every
+# n below this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin primality test for p < _MR_BOUND."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    if p >= _MR_BOUND:
+        raise AlgebraError(f"characteristic limited to primes below {_MR_BOUND}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def common_denominator(v):
+    """Integers n and one denominator D with v[i] == n[i] / D, for rationals v."""
+    den = lcm(*[c.denominator for c in v])
+    return [c.numerator * (den // c.denominator) for c in v], den
 
 
 class Rationals:
@@ -144,30 +181,6 @@ def poly_trim(base, coeffs):
     return tuple(c)
 
 
-def poly_add(base, f, g):
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else base.zero
-        b = g[i] if i < len(g) else base.zero
-        out.append(base.add(a, b))
-    return poly_trim(base, out)
-
-
-def poly_scale(base, c, f):
-    return poly_trim(base, [base.mul(c, a) for a in f])
-
-
-def poly_mul(base, f, g):
-    if not f or not g:
-        return ()
-    out = [base.zero] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = base.add(out[i + j], base.mul(a, b))
-    return poly_trim(base, out)
-
-
 def poly_divmod(base, f, g):
     if not g:
         raise AlgebraError("polynomial division by zero")
@@ -187,49 +200,72 @@ def poly_divmod(base, f, g):
     return poly_trim(base, q), poly_trim(base, f)
 
 
-def poly_ext_gcd(base, f, g):
-    """Return (d, s, t) with s*f + t*g = d, d the monic gcd."""
-    r0, r1 = poly_trim(base, f), poly_trim(base, g)
-    s0, s1 = (base.one,), ()
-    t0, t1 = (), (base.one,)
-    while r1:
-        q, r = poly_divmod(base, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_add(base, s0, poly_scale(base, base.neg(base.one), poly_mul(base, q, s1)))
-        t0, t1 = t1, poly_add(base, t0, poly_scale(base, base.neg(base.one), poly_mul(base, q, t1)))
-    if not r0:
-        raise AlgebraError("gcd of zero polynomials")
-    c = base.inv(r0[-1])
-    return poly_scale(base, c, r0), poly_scale(base, c, s0), poly_scale(base, c, t0)
+def _reduction_table(base, modulus):
+    """Coefficient rows of a^k mod modulus for d <= k < 2d - 1 (d = degree)."""
+    d = len(modulus) - 1
+    top = [base.neg(c) for c in modulus[:-1]]  # a^d
+    table = [top]
+    while len(table) < d - 1:  # a^(k+1) = a * a^k, its top coefficient folded back
+        row = table[-1]
+        lead = row[-1]
+        table.append([base.add(low, base.mul(lead, t)) for low, t in zip([base.zero] + row[:-1], top)])
+    return table[: d - 1]
 
 
-def _monic_polys(base, degree):
-    """All monic polynomials of the given degree over a prime field."""
-    p = base.p
-    if degree == 0:
-        yield (base.one,)
-        return
-    coeffs = [0] * degree
-    while True:
-        yield tuple(coeffs) + (base.one,)
-        i = 0
-        while i < degree:
-            coeffs[i] += 1
-            if coeffs[i] < p:
-                break
-            coeffs[i] = 0
-            i += 1
-        else:
-            return
+def _product(x, y, table, scale):
+    """scale * (x * y mod modulus) on integer coefficient vectors.
+
+    table[k] holds scale * (a^(d+k) mod modulus) on integers, so the product
+    is one convolution and one pass over the table: no polynomial division.
+    """
+    d = len(x)
+    conv = [0] * (2 * d - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                conv[i + j] += a * b
+    out = conv[:d] if scale == 1 else [c * scale for c in conv[:d]]
+    for row, c in zip(table, conv[d:]):
+        if c:
+            for i, t in enumerate(row):
+                out[i] += c * t
+    return out
+
+
+def _pow_mod_p(x, e, table, p):
+    """x^e mod (modulus, p) for e >= 1, by square and multiply."""
+    result = None
+    while e:
+        if e & 1:
+            result = x if result is None else [v % p for v in _product(result, x, table, 1)]
+        e >>= 1
+        if e:
+            x = [v % p for v in _product(x, x, table, 1)]
+    return result
 
 
 def _irreducible_over_prime_field(base, modulus) -> bool:
+    """Rabin's test: a monic f of degree d over F_p is irreducible iff
+    x^(p^d) = x mod f and gcd(x^(p^(d/q)) - x, f) = 1 for each prime q | d."""
     d = len(modulus) - 1
-    for e in range(1, d // 2 + 1):
-        for g in _monic_polys(base, e):
-            _, r = poly_divmod(base, modulus, g)
-            if not r:
-                return False
+    if d == 1:
+        return True
+    p = base.p
+    table = _reduction_table(base, modulus)
+    x = [0] * d
+    x[1] = 1
+    frobenius = [x]  # frobenius[i] = x^(p^i) mod f
+    for _ in range(d):
+        frobenius.append(_pow_mod_p(frobenius[-1], p, table, p))
+    if frobenius[d] != x:
+        return False
+    for q in {q for q in range(2, d + 1) if d % q == 0 and _is_prime(q)}:
+        h = poly_trim(base, [(c - e) % p for c, e in zip(frobenius[d // q], x)])
+        f = modulus
+        while h:
+            f, h = h, poly_divmod(base, f, h)[1]
+        if len(f) != 1:
+            return False
     return True
 
 
@@ -241,10 +277,7 @@ def _irreducible_over_rationals(modulus) -> bool:
         return True
     if d > 3:
         raise AlgebraError("rational extension degree limited to 3")
-    from math import lcm
-
-    denom = lcm(*[Fraction(c).denominator for c in modulus])
-    ints = [int(Fraction(c) * denom) for c in modulus]
+    ints, _ = common_denominator(modulus)
     if ints[0] == 0:
         return False  # root at 0
     lead, const = abs(ints[-1]), abs(ints[0])
@@ -273,9 +306,16 @@ class ExtensionField:
     """A finite extension K = k[a]/(modulus), elements as coefficient tuples.
 
     The modulus must be monic and irreducible over the base; this is checked
-    at construction (trial factorization over F_p, rational-root test over Q
-    where the degree is capped at 3).  A degree-1 modulus gives K = k, which
-    the valuation-domain side uses for the k = K case.
+    at construction (Rabin's test over F_p, rational-root test over Q where
+    the degree is capped at 3).  A degree-1 modulus gives K = k, which the
+    valuation-domain side uses for the k = K case.
+
+    Products use a table of a^k mod modulus for k < 2d - 1 built here: one
+    integer convolution, then one pass over the table.  Over Q the operands
+    are put on integer numerators over one common denominator, so a product
+    builds d Fractions; over F_p it reduces mod p once per coefficient.
+    Inverses solve the d x d multiplication matrix with the integer
+    row-reduction kernel of ``linalg``.
     """
 
     def __init__(self, base, modulus, name: str = "a"):
@@ -294,8 +334,18 @@ class ExtensionField:
             ok = _irreducible_over_rationals(mod)
         if not ok:
             raise AlgebraError("modulus is reducible")
-        self.zero = tuple([base.zero] * self.degree)
+        d = self.degree
+        table = _reduction_table(base, mod)
+        if isinstance(base, PrimeField):
+            self._p, self._table, self._scale = base.p, table, 1
+        else:
+            ints, self._scale = common_denominator([c for row in table for c in row])
+            self._p, self._table = 0, [ints[k : k + d] for k in range(0, len(ints), d)]
+        self._hash = hash((base, mod))  # immutable, and hashed on every payload lookup
+        self.zero = tuple([base.zero] * d)
         self.one = self.embed(base.one)
+        # the unit vectors 1, a, ..., a^(d-1)
+        self.basis = tuple(tuple([base.one if i == j else base.zero for j in range(d)]) for i in range(d))
         self._self_check()
 
     # -- element construction ------------------------------------------------
@@ -332,20 +382,35 @@ class ExtensionField:
         return tuple(self.base.neg(a) for a in x)
 
     def mul(self, x, y):
-        prod = poly_mul(self.base, poly_trim(self.base, x), poly_trim(self.base, y))
-        _, r = poly_divmod(self.base, prod, self.modulus)
-        return tuple(r) + tuple([self.base.zero] * (self.degree - len(r)))
+        p = self._p
+        if p:
+            return tuple([v % p for v in _product(x, y, self._table, 1)])
+        xs, dx = common_denominator(x)
+        ys, dy = common_denominator(y)
+        den = dx * dy * self._scale
+        zero = self.base.zero
+        return tuple([Fraction(v, den) if v else zero for v in _product(xs, ys, self._table, self._scale)])
 
     def inv(self, x):
-        xt = poly_trim(self.base, x)
-        if not xt:
+        """Solve x * c = 1: column j of the matrix is x * a^j."""
+        from .linalg import eliminate  # linalg imports this module
+
+        if self.is_zero(x):
             raise AlgebraError("zero has no inverse")
-        g, s, _ = poly_ext_gcd(self.base, xt, self.modulus)
-        if len(g) != 1:
+        d, p = self.degree, self._p
+        if p:
+            xs, rhs = x, 1
+        else:
+            xs, dx = common_denominator(x)
+            rhs = dx * self._scale
+        units = [[int(i == j) for i in range(d)] for j in range(d)]
+        cols = [_product(xs, u, self._table, self._scale) for u in units]
+        red, pivots = eliminate([[col[i] for col in cols] + [rhs * (i == 0)] for i in range(d)], d, p)
+        if len(pivots) != d:
             raise AlgebraError("element not invertible; modulus reducible?")
-        s = poly_scale(self.base, self.base.inv(g[0]), s)
-        _, r = poly_divmod(self.base, s, self.modulus)
-        return tuple(r) + tuple([self.base.zero] * (self.degree - len(r)))
+        if p:
+            return tuple([row[d] for row in red])
+        return tuple([Fraction(row[d], row[i]) for i, row in enumerate(red)])
 
     def is_zero(self, x) -> bool:
         return all(self.base.is_zero(a) for a in x)
@@ -357,10 +422,11 @@ class ExtensionField:
         return tuple(self.base.rand(rng, bound) for _ in range(self.degree))
 
     def rand_nonzero(self, rng, bound=6):
-        while True:
+        for _ in range(SAMPLE_ATTEMPTS):
             x = self.rand(rng, bound)
             if not self.is_zero(x):
                 return x
+        raise AlgebraError(f"no nonzero sample in {SAMPLE_ATTEMPTS} attempts")
 
     # -- printing ------------------------------------------------------------
 
@@ -394,7 +460,7 @@ class ExtensionField:
         )
 
     def __hash__(self):
-        return hash((self.base, self.modulus))
+        return self._hash
 
     # -- construction-time sanity -------------------------------------------
 

@@ -34,7 +34,7 @@ class ValueGroup:
                 return int(g)
             return int(g)
         if self.kind == "Q":
-            return Fraction(g)
+            return g if isinstance(g, Fraction) else Fraction(g)
         if isinstance(g, (tuple, list)) and len(g) == 2:
             return (int(g[0]), int(g[1]))
         raise AlgebraError("lex group elements are integer pairs")

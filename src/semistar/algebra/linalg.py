@@ -2,48 +2,83 @@
 
 A Subspace stores a reduced row echelon basis of coefficient vectors, so
 structural equality coincides with set equality.  Everything is exact.
+
+Row reduction runs on Python integers, with a kernel chosen by the base
+field.  Over Q each row is scaled to integers by the lcm of its
+denominators and eliminated fraction-free: cross-multiply, then divide out
+the row's gcd (integer-preserving elimination after Bareiss, Math. Comp. 22,
+1968); each pivot row is divided by its pivot once, at the end.  Over F_p
+the same loop runs on residues with one modular inverse per pivot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 
-from .fields import AlgebraError, ExtensionField
+from .fields import AlgebraError, ExtensionField, common_denominator
 
 
-def rref(base, rows, width):
-    """Reduced row echelon form over an exact base field; returns a tuple of rows."""
-    m = [list(r) for r in rows]
+def eliminate(rows, width, p=0):
+    """Gauss-Jordan elimination on integer rows, pivoting in the first width columns.
+
+    Over F_p (p prime) entries are residues, each pivot row is scaled to a
+    pivot of 1, and the result is the RREF.  Over Q (p = 0) elimination is
+    fraction-free and each row keeps the scale of its pivot: dividing row r
+    by its entry at pivots[r] gives the RREF.  Returns (rows, pivots).
+    """
+    m = [[v % p for v in r] for r in rows] if p else [list(r) for r in rows]
     pivots = []
     pr = 0
     for pc in range(width):
-        pivot_row = None
         for r in range(pr, len(m)):
-            if not base.is_zero(m[r][pc]):
-                pivot_row = r
+            if m[r][pc]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        m[pr], m[pivot_row] = m[pivot_row], m[pr]
-        inv = base.inv(m[pr][pc])
-        m[pr] = [base.mul(inv, v) for v in m[pr]]
-        for r in range(len(m)):
-            if r != pr and not base.is_zero(m[r][pc]):
-                c = m[r][pc]
-                m[r] = [base.sub(v, base.mul(c, w)) for v, w in zip(m[r], m[pr])]
+        m[pr], m[r] = m[r], m[pr]
+        if p:
+            inv = pow(m[pr][pc], -1, p)
+            m[pr] = [v * inv % p for v in m[pr]]
+        prow = m[pr]
+        pivot = prow[pc]
+        for r, row in enumerate(m):
+            c = row[pc]
+            if c and r != pr:
+                if p:
+                    m[r] = [(v - c * w) % p for v, w in zip(row, prow)]
+                else:
+                    row = [pivot * v - c * w for v, w in zip(row, prow)]
+                    g = gcd(*row)
+                    m[r] = [v // g for v in row] if g > 1 else row
         pivots.append(pc)
         pr += 1
         if pr == len(m):
             break
-    return tuple(tuple(r) for r in m[:pr]), tuple(pivots)
+    return m[:pr], pivots
 
 
-def nullspace(base, rows, width):
-    """Basis of {x : M x = 0} for the matrix with the given rows."""
-    red, pivots = rref(base, rows, width)
-    free = [c for c in range(width) if c not in pivots]
+def rref(base, rows, width):
+    """Reduced row echelon form over Q or F_p; returns (rows, pivot columns)."""
+    if base.kind == "Fp":
+        red, pivots = eliminate(rows, width, base.p)
+        return tuple(map(tuple, red)), tuple(pivots)
+    red, pivots = eliminate([common_denominator(r)[0] for r in rows], width)
+    zero, one = base.zero, base.one  # shared: most entries of an RREF are 0 or a pivot
+    out = tuple(
+        tuple([zero if not v else one if v == row[pc] else Fraction(v, row[pc]) for v in row])
+        for row, pc in zip(red, pivots)
+    )
+    return out, tuple(pivots)
+
+
+def _annihilator(base, red, pivots, width):
+    """Basis of {x : M x = 0} for a matrix M already in RREF with these pivots."""
     basis = []
-    for fc in free:
+    for fc in range(width):
+        if fc in pivots:
+            continue
         v = [base.zero] * width
         v[fc] = base.one
         for r, pc in enumerate(pivots):
@@ -52,9 +87,10 @@ def nullspace(base, rows, width):
     return tuple(basis)
 
 
-def _membership_equations(base, rows, width):
-    """Rows N with: x in rowspace(rows) iff N x = 0 (double annihilator)."""
-    return nullspace(base, rows, width)
+def nullspace(base, rows, width):
+    """Basis of {x : M x = 0} for the matrix with the given rows."""
+    red, pivots = rref(base, rows, width)
+    return _annihilator(base, red, pivots, width)
 
 
 def _dot(base, u, v):
@@ -87,13 +123,7 @@ class Subspace:
 
     @staticmethod
     def full(ambient: ExtensionField) -> "Subspace":
-        base = ambient.base
-        rows = []
-        for i in range(ambient.degree):
-            v = [base.zero] * ambient.degree
-            v[i] = base.one
-            rows.append(tuple(v))
-        return Subspace(ambient, tuple(rows))
+        return Subspace(ambient, ambient.basis)
 
     @property
     def dim(self) -> int:
@@ -106,7 +136,10 @@ class Subspace:
         return len(self.rows) == self.ambient.degree
 
     def _equations(self):
-        return _membership_equations(self.ambient.base, self.rows, self.ambient.degree)
+        """Rows N with: x in self iff N x = 0, read off the RREF pivots."""
+        base = self.ambient.base
+        pivots = [next(i for i, v in enumerate(row) if not base.is_zero(v)) for row in self.rows]
+        return _annihilator(base, self.rows, pivots, self.ambient.degree)
 
     def leq(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -125,10 +158,8 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     a._check_ambient(b)
-    base = a.ambient.base
-    width = a.ambient.degree
-    eqs = _membership_equations(base, a.rows, width) + _membership_equations(base, b.rows, width)
-    return Subspace.span(a.ambient, nullspace(base, eqs, width))
+    eqs = a._equations() + b._equations()
+    return Subspace.span(a.ambient, nullspace(a.ambient.base, eqs, a.ambient.degree))
 
 
 def subspace_scale(c, w: Subspace) -> Subspace:
@@ -154,14 +185,13 @@ def transporter(target: Subspace, source: Subspace) -> Subspace:
     d = K.degree
     if source.is_zero():
         return Subspace.full(K)
-    eqs_target = _membership_equations(base, target.rows, d)
+    eqs_target = target._equations()
     if not eqs_target:
         return Subspace.full(K)
     constraints = []
-    unit_vectors = Subspace.full(K).rows
     for u in source.rows:
         # column j of (c -> c*u) in coordinates
-        cols = [K.mul(e, u) for e in unit_vectors]
+        cols = [K.mul(e, u) for e in K.basis]
         for eq in eqs_target:
             constraints.append(tuple(_dot(base, eq, cols[j]) for j in range(d)))
     return Subspace.span(K, nullspace(base, constraints, d))

@@ -308,7 +308,7 @@ def fg_witness(a: LeveledModule):
         return tuple((row, g) for row in w.rows)
     if a.tail.shape == "closed":
         c = a.tail.cut
-        return tuple((row, c) for row in Subspace.full(K).rows)
+        return tuple((row, c) for row in K.basis)
     return None
 
 
@@ -328,5 +328,3 @@ def localize_at(seg: Segment, prime: DomainPrime) -> Segment:
     # {g >= (a, b)} contains (a, max(b, n)) for every n, so value a projects in
     return Segment.closed(out_group, first)
 
-
-SAMPLE_ATTEMPTS = 1000  # rejection-sampling cap; a hit raises instead of hanging

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from . import dplusm, numsgr
-from .algebra.fields import AlgebraError
+from .algebra.fields import SAMPLE_ATTEMPTS, AlgebraError
 from .algebra.groups import Segment, ValueGroup, segment_add, segment_colon, segment_intersect, segment_union, segment_shift
 from .dplusm import DomainPrime, PullbackDomain, ValuationDomain
 from .numsgr import NumericalSemigroup
@@ -698,11 +698,11 @@ class _PullbackEngine:
         return dplusm.canonical(self.pd, (), Segment.make(self.group, shape, level))
 
     def sample_fg_ideal(self, rng, spec, integral=False):
-        for _ in range(dplusm.SAMPLE_ATTEMPTS):
+        for _ in range(SAMPLE_ATTEMPTS):
             m = self.sample_ideal(rng, spec, integral)
             if dplusm.fg_witness(m) is not None:
                 return m
-        raise AlgebraError(f"no finitely generated sample in {dplusm.SAMPLE_ATTEMPTS} attempts")
+        raise AlgebraError(f"no finitely generated sample in {SAMPLE_ATTEMPTS} attempts")
 
     def proper_subideal_samples(self, rng):
         out = []

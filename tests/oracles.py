@@ -2,7 +2,10 @@
 
 Nothing in the package uses them.  Finite leading-term expansions stand for
 elements of k + M pullbacks; bitmasks on a fixed window stand for value
-sets of monomial ideals of numerical semigroup rings.
+sets of monomial ideals of numerical semigroup rings.  Row reduction and
+extension-field arithmetic are restated through the base field's generic
+methods, and primality and irreducibility over F_p by trial division, as
+references for the integer kernels.
 """
 
 from __future__ import annotations
@@ -10,7 +13,8 @@ from __future__ import annotations
 from semistar import dplusm
 from semistar.algebra import AlgebraError, Segment
 from semistar.algebra.linalg import Subspace
-from semistar.dplusm import SAMPLE_ATTEMPTS, LeveledModule, PullbackDomain, canonical
+from semistar.algebra.fields import SAMPLE_ATTEMPTS, poly_divmod, poly_trim
+from semistar.dplusm import LeveledModule, PullbackDomain, canonical
 from semistar.numsgr import NumericalSemigroup
 from semistar.operations import IdealHandle, LocalizingSystemView
 
@@ -132,6 +136,128 @@ def _small_positive(group, rng, window):
 
 def ls_contains(ls: LocalizingSystemView, i: IdealHandle) -> bool:
     return ls.contains(i)
+
+
+# ---------------------------------------------------------------------------
+# generic reference arithmetic over a base field
+
+def rref_reference(base, rows, width):
+    """Gauss-Jordan elimination through base.add/base.mul: (rows, pivots)."""
+    m = [list(r) for r in rows]
+    pivots = []
+    pr = 0
+    for pc in range(width):
+        pivot_row = None
+        for r in range(pr, len(m)):
+            if not base.is_zero(m[r][pc]):
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        m[pr], m[pivot_row] = m[pivot_row], m[pr]
+        inv = base.inv(m[pr][pc])
+        m[pr] = [base.mul(inv, v) for v in m[pr]]
+        for r in range(len(m)):
+            if r != pr and not base.is_zero(m[r][pc]):
+                c = m[r][pc]
+                m[r] = [base.sub(v, base.mul(c, w)) for v, w in zip(m[r], m[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == len(m):
+            break
+    return tuple(tuple(r) for r in m[:pr]), tuple(pivots)
+
+
+def poly_add(base, f, g):
+    n = max(len(f), len(g))
+    out = []
+    for i in range(n):
+        a = f[i] if i < len(f) else base.zero
+        b = g[i] if i < len(g) else base.zero
+        out.append(base.add(a, b))
+    return poly_trim(base, out)
+
+
+def poly_scale(base, c, f):
+    return poly_trim(base, [base.mul(c, a) for a in f])
+
+
+def poly_mul(base, f, g):
+    if not f or not g:
+        return ()
+    out = [base.zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = base.add(out[i + j], base.mul(a, b))
+    return poly_trim(base, out)
+
+
+def poly_ext_gcd(base, f, g):
+    """Return (d, s, t) with s*f + t*g = d, d the monic gcd."""
+    r0, r1 = poly_trim(base, f), poly_trim(base, g)
+    s0, s1 = (base.one,), ()
+    t0, t1 = (), (base.one,)
+    minus_one = base.neg(base.one)
+    while r1:
+        q, r = poly_divmod(base, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly_add(base, s0, poly_scale(base, minus_one, poly_mul(base, q, s1)))
+        t0, t1 = t1, poly_add(base, t0, poly_scale(base, minus_one, poly_mul(base, q, t1)))
+    c = base.inv(r0[-1])
+    return poly_scale(base, c, r0), poly_scale(base, c, s0), poly_scale(base, c, t0)
+
+
+def _padded(K, r):
+    return tuple(r) + tuple([K.base.zero] * (K.degree - len(r)))
+
+
+def ext_mul_reference(K, x, y):
+    """x * y in K: polynomial product, then division by the modulus."""
+    base = K.base
+    _, r = poly_divmod(base, poly_mul(base, poly_trim(base, x), poly_trim(base, y)), K.modulus)
+    return _padded(K, r)
+
+
+def ext_inv_reference(K, x):
+    """x^-1 in K by the extended Euclidean algorithm against the modulus."""
+    base = K.base
+    g, s, _ = poly_ext_gcd(base, poly_trim(base, x), K.modulus)
+    if len(g) != 1:
+        raise AlgebraError("element not invertible")
+    _, r = poly_divmod(base, s, K.modulus)
+    return _padded(K, r)
+
+
+def is_prime_reference(p: int) -> bool:
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def monic_polys(base, degree):
+    """All monic polynomials of the given degree over a prime field."""
+    for i in range(base.p**degree):
+        coeffs = []
+        for _ in range(degree):
+            i, c = divmod(i, base.p)
+            coeffs.append(c)
+        yield tuple(coeffs) + (base.one,)
+
+
+def irreducible_reference(base, modulus) -> bool:
+    """Trial division by every monic polynomial of degree at most d/2."""
+    d = len(modulus) - 1
+    for e in range(1, d // 2 + 1):
+        for g in monic_polys(base, e):
+            _, r = poly_divmod(base, modulus, g)
+            if not r:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
