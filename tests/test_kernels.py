@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -86,15 +87,19 @@ def test_rref_keeps_the_scalar_types():
     assert red == ((1, 2),) and all(type(v) is int for v in red[0])
 
 
+@st.composite
+def spanning_sets(draw):
+    K = FIELDS[draw(st.sampled_from(["Q(cbrt2)", "F125"]))]
+    vector = st.tuples(*[_scalars(K.base)] * K.degree)
+    return K, draw(st.lists(vector, max_size=4))
+
+
 @PROPERTY
-@given(st.sampled_from([QQ, F5]).flatmap(lambda base: st.tuples(st.just(base), matrices(base))))
+@given(spanning_sets())
 def test_equations_are_the_nullspace_of_the_rows(case):
-    base, (rows, width) = case
-    K = FIELDS["Q(cbrt2)"] if base is QQ else FIELDS["F125"]
-    width = K.degree
-    rows = [(tuple(r) + (base.zero,) * width)[:width] for r in rows]
-    space = Subspace.span(K, rows)
-    assert space._equations() == nullspace(base, space.rows, width)
+    K, vectors = case
+    space = Subspace.span(K, vectors)
+    assert space._equations() == nullspace(K.base, space.rows, K.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +133,7 @@ def test_miller_rabin_rejects_strong_pseudoprimes():
     # strong pseudoprimes to every prime base up to 23 and 37 respectively
     for n, factors in ((3825123056546413051, (149491, 747451, 34233211)),
                        (318665857834031151167461, (399165290221, 798330580441))):
-        assert n == factors[0] * factors[1] * (factors[2] if len(factors) > 2 else 1)
+        assert n == prod(factors)
         assert not _is_prime(n)
 
 
@@ -163,8 +168,9 @@ def test_large_prime_fields_parse_fast(text):
 # bounded sampling
 
 class _ZeroRng:
-    """Every draw is 0, so every sampled element is zero.  A draw past the
-    cap's worth raises, so an unbounded loop fails instead of hanging."""
+    """Every draw is the value nearest 0 in its range (a rational draws
+    0/1), so every sampled element is zero.  A draw past the cap's worth
+    raises, so an unbounded loop fails instead of hanging."""
 
     def __init__(self, limit):
         self.left = limit
@@ -185,7 +191,7 @@ class _ZeroRng:
 @pytest.mark.parametrize("name", ["Q(sqrt2)", "F16"])
 def test_rand_nonzero_stops_at_its_cap(name):
     K = FIELDS[name]
-    draws_per_element = 2 * K.degree  # a rational draws twice, a residue once
+    draws_per_element = 2 * K.degree  # at most two draws per coefficient
     rng = _ZeroRng(draws_per_element * SAMPLE_ATTEMPTS)
     with pytest.raises(AlgebraError, match=f"{SAMPLE_ATTEMPTS} attempts"):
         K.rand_nonzero(rng, 4)
