@@ -1,9 +1,17 @@
 """Ordered abelian value groups and their upper-set segments.
 
 Groups: Z, Q, and Z x Z ordered lexicographically.  A Segment is an upper
-set cut at a group element, open or closed, plus the degenerate Whole and
-Empty shapes.  In discrete groups Open(c) is normalized to Closed(c + 1)
-so that structural equality is semantic equality.
+set of its group, stored as one totally ordered key:
+
+    (-1,)        the whole group
+    (0, c, 0)    {g : g >= c}
+    (0, c, 1)    {g : g > c}
+    (1,)         the empty set
+
+The upper sets of a totally ordered group form a chain, and a larger key is
+a smaller set, so inclusion is key order and meet and join are max and min
+of keys.  In discrete groups {g > c} is stored as {g >= c + 1}, so that
+structural equality is semantic equality.
 """
 
 from __future__ import annotations
@@ -52,12 +60,6 @@ class ValueGroup:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def le(self, a, b) -> bool:
-        return a <= b  # tuples compare lexicographically
-
-    def lt(self, a, b) -> bool:
-        return a < b
-
     def successor(self, a):
         if not self.discrete:
             raise AlgebraError("successor only exists in discrete groups")
@@ -87,28 +89,36 @@ class ValueGroup:
         return hash(("group", self.kind))
 
 
+_WHOLE, _EMPTY = (-1,), (1,)
+
+
 @dataclass(frozen=True)
 class Segment:
-    """The upper set {g : g >= cut} (closed) or {g : g > cut} (open)."""
+    """An upper set of group, named by its key (see the module docstring)."""
 
     group: ValueGroup
-    shape: str  # "whole" | "empty" | "closed" | "open"
-    cut: object = None
+    key: tuple
 
     @staticmethod
     def make(group: ValueGroup, shape: str, cut=None) -> "Segment":
-        if shape in ("whole", "empty"):
-            return Segment(group, shape, None)
-        cut = group.coerce(cut)
-        if shape == "open" and group.discrete:
-            return Segment(group, "closed", group.successor(cut))
+        """The segment of shape "whole", "empty", "closed" ({g >= cut}) or
+        "open" ({g > cut})."""
+        if shape == "whole":
+            return Segment(group, _WHOLE)
+        if shape == "empty":
+            return Segment(group, _EMPTY)
         if shape not in ("open", "closed"):
             raise AlgebraError(f"bad segment shape {shape!r}")
-        return Segment(group, shape, cut)
+        cut = group.coerce(cut)
+        if shape == "closed":
+            return Segment(group, (0, cut, 0))
+        if group.discrete:
+            return Segment(group, (0, group.successor(cut), 0))
+        return Segment(group, (0, cut, 1))
 
     @staticmethod
     def closed(group, cut):
-        return Segment.make(group, "closed", cut)
+        return Segment(group, (0, group.coerce(cut), 0))
 
     @staticmethod
     def open(group, cut):
@@ -116,53 +126,48 @@ class Segment:
 
     @staticmethod
     def whole(group):
-        return Segment(group, "whole", None)
+        return Segment(group, _WHOLE)
 
     @staticmethod
     def empty(group):
-        return Segment(group, "empty", None)
+        return Segment(group, _EMPTY)
+
+    @property
+    def cut(self):
+        """The boundary element; None for the whole group and the empty set."""
+        return self.key[1] if len(self.key) == 3 else None
+
+    def minimum(self):
+        """The least element, or None when there is none."""
+        return self.key[1] if len(self.key) == 3 and self.key[2] == 0 else None
 
     def is_empty(self) -> bool:
-        return self.shape == "empty"
+        return self.key == _EMPTY
 
     def is_whole(self) -> bool:
-        return self.shape == "whole"
+        return self.key == _WHOLE
 
     def contains(self, g) -> bool:
-        if self.shape == "whole":
-            return True
-        if self.shape == "empty":
-            return False
-        g = self.group.coerce(g)
-        if self.shape == "closed":
-            return self.group.le(self.cut, g)
-        return self.group.lt(self.cut, g)
+        if len(self.key) == 1:
+            return self.key == _WHOLE
+        return self.key <= (0, self.group.coerce(g), 0)  # {g} inside self
 
     def leq(self, other: "Segment") -> bool:
         """Subset test: self a subset of other."""
         _same_group(self, other)
-        if self.shape == "empty" or other.shape == "whole":
-            return True
-        if self.shape == "whole" or other.shape == "empty":
-            return False
-        if other.shape == "closed":
-            # {>=a} or {>a} inside {>=b}
-            return self.group.le(other.cut, self.cut)
-        # other open {>b}
-        if self.shape == "closed":
-            return self.group.lt(other.cut, self.cut)
-        return self.group.le(other.cut, self.cut)
+        return self.key >= other.key
 
     def eq(self, other: "Segment") -> bool:
-        return self.leq(other) and other.leq(self)
+        _same_group(self, other)
+        return self.key == other.key
 
     def fmt(self) -> str:
-        if self.shape == "whole":
+        if self.is_whole():
             return "all"
-        if self.shape == "empty":
+        if self.is_empty():
             return "none"
-        op = ">=" if self.shape == "closed" else ">"
-        return f"{op}{self.group.fmt(self.cut)}"
+        _, cut, strict = self.key
+        return (">" if strict else ">=") + self.group.fmt(cut)
 
 
 def _same_group(s: Segment, t: Segment):
@@ -177,9 +182,8 @@ def segment_add(s: Segment, t: Segment) -> Segment:
         return Segment.empty(s.group)
     if s.is_whole() or t.is_whole():
         return Segment.whole(s.group)
-    cut = s.group.add(s.cut, t.cut)
-    shape = "closed" if (s.shape == "closed" and t.shape == "closed") else "open"
-    return Segment.make(s.group, shape, cut)
+    (_, a, f), (_, b, h) = s.key, t.key
+    return Segment(s.group, (0, s.group.add(a, b), max(f, h)))
 
 
 def segment_colon(s: Segment, t: Segment) -> Segment:
@@ -189,39 +193,24 @@ def segment_colon(s: Segment, t: Segment) -> Segment:
         raise AlgebraError("segment colon by the empty segment")
     if s.is_whole():
         return Segment.whole(s.group)
-    if t.is_whole():
+    if t.is_whole() or s.is_empty():
         return Segment.empty(s.group)
-    if s.is_empty():
-        return Segment.empty(s.group)
-    cut = s.group.sub(s.cut, t.cut)
-    # In canonical form discrete segments are closed, so these rules cover
-    # every case: closed:closed and open:open give closed, open:closed open.
-    if s.shape == "closed":
-        shape = "closed"
-    else:
-        shape = "closed" if t.shape == "open" else "open"
-    return Segment.make(s.group, shape, cut)
+    (_, a, f), (_, b, h) = s.key, t.key
+    return Segment(s.group, (0, s.group.sub(a, b), max(0, f - h)))
 
 
 def segment_intersect(s: Segment, t: Segment) -> Segment:
     _same_group(s, t)
-    if s.leq(t):
-        return s
-    if t.leq(s):
-        return t
-    raise AlgebraError("segments failed the chain property")
+    return s if s.key >= t.key else t
 
 
 def segment_union(s: Segment, t: Segment) -> Segment:
     _same_group(s, t)
-    if s.leq(t):
-        return t
-    if t.leq(s):
-        return s
-    raise AlgebraError("segments failed the chain property")
+    return t if s.key >= t.key else s
 
 
 def segment_shift(s: Segment, g) -> Segment:
-    if s.shape in ("whole", "empty"):
+    if len(s.key) == 1:
         return s
-    return Segment.make(s.group, s.shape, s.group.add(s.cut, g))
+    _, cut, strict = s.key
+    return Segment(s.group, (0, s.group.coerce(s.group.add(cut, g)), strict))

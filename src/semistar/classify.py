@@ -154,7 +154,7 @@ def _envelope_fixed(op: SemistarOp, dom: DomainHandle) -> bool:
 def _no_min_support(h: IdealHandle) -> bool:
     """True when the payload has no minimal support level (open tail with no
     jump, or the whole quotient field)."""
-    return h.domain.engine.hull(h.payload).shape in ("open", "whole")
+    return h.domain.engine.hull(h.payload).minimum() is None
 
 
 def is_star_finite(op: SemistarOp, i: IdealHandle, spec: SampleSpec, within: bool = False) -> Verdict:
@@ -170,7 +170,7 @@ def is_star_finite(op: SemistarOp, i: IdealHandle, spec: SampleSpec, within: boo
             return refuted(i, image, detail="cut-parity: image of any finitely generated module has a minimal support level")
         # the open tail of i against the minimal support level of the image
         tail, hull = dom.engine.tail(i.payload), dom.engine.hull(image.payload)
-        if within and tail.shape == "open" and not dom.payload_group.lt(tail.cut, hull.cut):
+        if within and tail.minimum() is None and not hull.leq(tail):
             return refuted(
                 i, image,
                 detail="support-below-envelope: the image reaches a level no subideal's closure can",

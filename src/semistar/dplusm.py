@@ -72,18 +72,6 @@ class PullbackDomain:
 
 
 @dataclass(frozen=True)
-class DomainPrime:
-    """A coarsening prime of a rank-2 lex valuation domain; localizing at it
-    projects values to the first lex coordinate."""
-
-    domain: ValuationDomain
-    name: str = "P1"
-
-    def projected_group(self) -> ValueGroup:
-        return ValueGroup("Z")
-
-
-@dataclass(frozen=True)
 class LeveledModule:
     """Canonical leveled module: at most one proper jump, then a full tail."""
 
@@ -306,14 +294,15 @@ def fg_witness(a: LeveledModule):
     if j is not None:
         g, w = j
         return tuple((row, g) for row in w.rows)
-    if a.tail.shape == "closed":
-        c = a.tail.cut
+    c = a.tail.minimum()
+    if c is not None:
         return tuple((row, c) for row in K.basis)
     return None
 
 
-def localize_at(seg: Segment, prime: DomainPrime) -> Segment:
-    """Project a lex-group segment to the coarsened (first-coordinate) group.
+def localize_at(seg: Segment) -> Segment:
+    """Project a lex-group segment to the coarsened (first-coordinate) group,
+    the value group of the localization at the rank-2 domain's height-one prime.
 
     The projected cut is closed iff some preimage level at that projected
     value lies in the segment; with canonical (closed) lex segments this is
@@ -321,10 +310,11 @@ def localize_at(seg: Segment, prime: DomainPrime) -> Segment:
     """
     if seg.group.kind != "ZxZ":
         raise AlgebraError("localization needs the rank-2 lex group")
-    out_group = prime.projected_group()
-    if seg.shape in ("whole", "empty"):
-        return Segment(out_group, seg.shape, None)
-    first = seg.cut[0]
+    out_group = ValueGroup("Z")
+    if seg.is_whole():
+        return Segment.whole(out_group)
+    if seg.is_empty():
+        return Segment.empty(out_group)
     # {g >= (a, b)} contains (a, max(b, n)) for every n, so value a projects in
-    return Segment.closed(out_group, first)
+    return Segment.closed(out_group, seg.cut[0])
 

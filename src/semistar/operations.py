@@ -46,7 +46,7 @@ from functools import cached_property, reduce
 from . import dplusm, numsgr
 from .algebra.fields import SAMPLE_ATTEMPTS, AlgebraError
 from .algebra.groups import Segment, ValueGroup, segment_add, segment_colon, segment_intersect, segment_union, segment_shift
-from .dplusm import DomainPrime, PullbackDomain, ValuationDomain
+from .dplusm import PullbackDomain, ValuationDomain
 from .numsgr import NumericalSemigroup
 from .verdict import Verdict, holds, refuted, unknown
 
@@ -365,9 +365,9 @@ def _positive_levels(group: ValueGroup, rng):
     reflected and moved up by one."""
     for _ in range(4):
         g = group.rand(rng, 5)
-        if not group.lt(group.zero, g):
+        if g <= group.zero:
             g = group.add(group.neg(g), _level_one(group))
-        if group.lt(group.zero, g):
+        if group.zero < g:
             yield g
 
 
@@ -540,32 +540,25 @@ class _ValuationEngine:
         return segment_shift(a, scalar)
 
     def fg_witness(self, a):
-        if a.shape == "closed":
-            return ((self.K.one, a.cut),)
-        return None
+        c = a.minimum()
+        return None if c is None else ((self.K.one, c),)
 
     def regenerate(self, witness):
-        cuts = [self.group.coerce(c) for _, c in witness]  # units of V drop out
-        out = Segment.closed(self.group, cuts[0])
-        for c in cuts[1:]:
-            out = segment_union(out, Segment.closed(self.group, c))
-        return out
+        return Segment.closed(self.group, min(self.group.coerce(c) for _, c in witness))  # units of V drop out
 
     def sample_scalar(self, rng, spec):
         return self.group.rand(rng, spec.value_window, spec.denominator_bound)
 
     def sample_ideal(self, rng, spec, integral=False):
         cut = self.group.rand(rng, spec.value_window, spec.denominator_bound)
-        if integral:
-            zero = self.group.zero
-            if self.group.lt(cut, zero):
-                cut = self.group.neg(cut)
+        if integral and cut < self.group.zero:
+            cut = self.group.neg(cut)
         shape = "closed" if (self.group.discrete or rng.random() < 0.5) else "open"
         return Segment.make(self.group, shape, cut)
 
     def sample_fg_ideal(self, rng, spec, integral=False):
         s = self.sample_ideal(rng, spec, integral)
-        if s.shape != "closed":
+        if s.minimum() is None:
             s = Segment.closed(self.group, s.cut)
         return s
 
@@ -595,7 +588,7 @@ class _ValuationEngine:
 
     def localize(self, a):
         """Project a lex-group payload to the localization at P1."""
-        return dplusm.localize_at(a, DomainPrime(self.vd))
+        return dplusm.localize_at(a)
 
     def localize_scalar(self, scalar):
         return scalar[0]  # the coarsened first coordinate
@@ -685,9 +678,9 @@ class _PullbackEngine:
         level = self.group.rand(rng, spec.value_window, spec.denominator_bound)
         zero = self.group.zero
         if integral:
-            if self.group.lt(level, zero):
+            if level < zero:
                 level = self.group.neg(level)
-            if not self.group.lt(zero, level):
+            if level <= zero:
                 return self.unit() if roll < 0.5 else self.maximal()
         if roll < 0.55:
             gens = []

@@ -241,9 +241,9 @@ def theorem_suite(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Sui
             ", ".join(f"{k}={v.outcome}" for k, v in sorted(decided.items())),
         ))
     if tilde_vs_barft is not None:
-        lines.append(_implication("truly-ft-coherent-implies-tilde-equals-stable-ft",
-                                  classify.coherence_check(domain, TRULY_COHERENT, ft_op(op), spec),
-                                  tilde_vs_barft))
+        truly_ft = coh[TRULY_COHERENT] if ft_op(op) == op else classify.coherence_check(
+            domain, TRULY_COHERENT, ft_op(op), spec)
+        lines.append(_implication("truly-ft-coherent-implies-tilde-equals-stable-ft", truly_ft, tilde_vs_barft))
         lines.append(_implication("h-domain-implies-tilde-equals-stable-ft", h, tilde_vs_barft))
         lines.append(_implication("tilde-equals-stable-ft-implies-i-domain", tilde_vs_barft, i))
     lines.append(_implication("star-domain-and-i-domain-implies-pstarmd", _conj(star_domain, i), pstarmd))

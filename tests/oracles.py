@@ -2,13 +2,16 @@
 
 Nothing in the package uses them.  Finite leading-term expansions stand for
 elements of k + M pullbacks; bitmasks on a fixed window stand for value
-sets of monomial ideals of numerical semigroup rings.  Row reduction and
+sets of monomial ideals of numerical semigroup rings; value-group segments
+are membership tests read off their definition.  Row reduction and
 extension-field arithmetic are restated through the base field's generic
 methods, and primality and irreducibility over F_p by trial division, as
 references for the integer kernels.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from semistar import dplusm
 from semistar.algebra import AlgebraError, Segment
@@ -84,7 +87,7 @@ def random_domain_element(domain: PullbackDomain, rng, terms=3, window=4):
     out = [(K.embed(base.rand(rng, 4)), group.zero)]
     for _ in range(rng.randint(0, terms)):
         g = group.rand(rng, window)
-        while not group.lt(group.zero, g):
+        while g <= group.zero:
             g = group.rand(rng, window)
         out.append((K.rand(rng, 4), g))
     return exp_normalize(domain, [(c, g) for c, g in out])
@@ -107,7 +110,7 @@ def random_module_element(m: LeveledModule, rng, terms=3, window=4):
     while len(picks) < 1 + rng.randint(0, terms):
         if m.tail.is_whole():
             g = group.rand(rng, window)
-        elif m.tail.shape == "closed":
+        elif m.tail.minimum() is not None:
             g = group.add(m.tail.cut, _small_nonneg(group, rng, window))
         else:
             g = group.add(m.tail.cut, _small_positive(group, rng, window))
@@ -121,7 +124,7 @@ def random_module_element(m: LeveledModule, rng, terms=3, window=4):
 def _small_nonneg(group, rng, window):
     g = group.rand(rng, window)
     zero = group.zero
-    if group.lt(g, zero):
+    if g < zero:
         g = group.neg(g)
     return g
 
@@ -129,9 +132,57 @@ def _small_nonneg(group, rng, window):
 def _small_positive(group, rng, window):
     for _ in range(SAMPLE_ATTEMPTS):
         g = _small_nonneg(group, rng, window)
-        if group.lt(group.zero, g):
+        if group.zero < g:
             return g
     raise AlgebraError(f"no positive sample in {SAMPLE_ATTEMPTS} attempts")
+
+
+# ---------------------------------------------------------------------------
+# value-group segments as membership tests
+
+def upper_set(group, shape: str, cut=None):
+    """Membership in the whole group, the empty set, {g >= cut} ("closed")
+    or {g > cut} ("open"), read off the definition."""
+    if shape in ("whole", "empty"):
+        return lambda g: shape == "whole"
+    cut = group.coerce(cut)
+    return (lambda g: cut <= g) if shape == "closed" else (lambda g: cut < g)
+
+
+def set_sum(group, s, t, witnesses):
+    """g is in s + t when g = x + y with x in s and y in t, x a witness."""
+    return lambda g: any(s(x) and t(group.sub(g, x)) for x in witnesses)
+
+
+def set_colon(group, s, t, witnesses):
+    """g is in (s : t) when g + y lies in s for every witness y in t."""
+    return lambda g: all(s(group.add(g, y)) for y in witnesses if t(y))
+
+
+def set_shift(group, s, h):
+    return lambda g: s(group.sub(g, h))
+
+
+def value_grids(group, radius: int):
+    """Probe points and witness points for segments whose cuts lie in
+    [-radius, radius], in Q on multiples of 1/2.
+
+    Membership of a probe then decides inclusion exactly: the probes reach
+    3 * radius on both sides and, in Q, lie on multiples of 1/4, so every
+    cut within 2 * radius (those of sums, colons and shifts included) has
+    a probe on it and probes on either side.  The witnesses reach 5 * radius
+    on multiples of 1/8, which holds the least element of each summand or
+    colon divisor, a point just above each open cut, and a point far enough
+    below a probe that a colon by the whole group leaves every proper
+    segment."""
+    if group.kind == "Z":
+        return list(range(-3 * radius, 3 * radius + 1)), list(range(-5 * radius, 5 * radius + 1))
+    if group.kind == "Q":
+        return ([Fraction(n, 4) for n in range(-12 * radius, 12 * radius + 1)],
+                [Fraction(n, 8) for n in range(-40 * radius, 40 * radius + 1)])
+    box = range(-3 * radius, 3 * radius + 1)
+    wide = range(-5 * radius, 5 * radius + 1)
+    return [(a, b) for a in box for b in box], [(a, b) for a in wide for b in wide]
 
 
 def ls_contains(ls: LocalizingSystemView, i: IdealHandle) -> bool:

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import random
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semistar.algebra import (
     AlgebraError,
@@ -17,6 +20,7 @@ from semistar.algebra import (
     segment_add,
     segment_colon,
     segment_intersect,
+    segment_shift,
     segment_union,
     subspace_intersect,
     subspace_product,
@@ -25,7 +29,7 @@ from semistar.algebra import (
     transporter,
 )
 
-from oracles import contains_vector
+from oracles import contains_vector, set_colon, set_shift, set_sum, upper_set, value_grids
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +297,8 @@ def test_lex_order_compatible_with_addition():
     rng = random.Random(3)
     for _ in range(200):
         a, b, c = (lex.rand(rng, 6) for _ in range(3))
-        if lex.le(a, b):
-            assert lex.le(lex.add(a, c), lex.add(b, c))
+        if a <= b:
+            assert lex.add(a, c) <= lex.add(b, c)
 
 
 def test_divisoriality_of_double_colon():
@@ -311,3 +315,57 @@ def test_segment_union_and_mismatch():
     assert segment_union(Segment.closed(gq, 1), Segment.closed(gq, 2)) == Segment.closed(gq, 1)
     with pytest.raises(AlgebraError):
         segment_add(Segment.closed(gq, 1), Segment.closed(gz, 1))
+
+
+RADIUS = {"Z": 3, "Q": 2, "ZxZ": 1}
+
+
+def _levels(kind):
+    r = RADIUS[kind]
+    if kind == "Z":
+        return st.integers(-r, r)
+    if kind == "Q":
+        return st.builds(Fraction, st.integers(-2 * r, 2 * r), st.just(2))
+    return st.tuples(st.integers(-r, r), st.integers(-r, r))
+
+
+@st.composite
+def segment_cases(draw):
+    """A group, two segments given as (shape, cut), and a shift."""
+    kind = draw(st.sampled_from(sorted(RADIUS)))
+    shapes = st.sampled_from(["whole", "empty", "closed", "open"])
+    s, t = (draw(st.tuples(shapes, _levels(kind))) for _ in range(2))
+    return kind, s, t, draw(_levels(kind))
+
+
+@settings(derandomize=True, database=None, deadline=timedelta(seconds=2), max_examples=200)
+@given(segment_cases())
+def test_segment_operations_match_membership(case):
+    kind, s_args, t_args, h = case
+    group = ValueGroup(kind)
+    probes, witnesses = value_grids(group, RADIUS[kind])
+    s, t = Segment.make(group, *s_args), Segment.make(group, *t_args)
+    in_s, in_t = upper_set(group, *s_args), upper_set(group, *t_args)
+    expected = {
+        "s": (s, in_s),
+        "t": (t, in_t),
+        "meet": (segment_intersect(s, t), lambda g: in_s(g) and in_t(g)),
+        "join": (segment_union(s, t), lambda g: in_s(g) or in_t(g)),
+        "sum": (segment_add(s, t), set_sum(group, in_s, in_t, witnesses)),
+        "shift": (segment_shift(s, h), set_shift(group, in_s, h)),
+    }
+    if t.is_empty():
+        with pytest.raises(AlgebraError):
+            segment_colon(s, t)
+    else:
+        expected["colon"] = (segment_colon(s, t), set_colon(group, in_s, in_t, witnesses))
+    members = {}
+    for name, (seg, member) in expected.items():
+        members[name] = tuple(member(g) for g in probes)
+        assert tuple(seg.contains(g) for g in probes) == members[name], name
+    assert s.leq(t) == all(b for a, b in zip(members["s"], members["t"]) if a)
+    assert s.eq(t) == (members["s"] == members["t"])
+    # structural equality is semantic equality, for results as for inputs
+    for a, (seg_a, _) in expected.items():
+        for b, (seg_b, _) in expected.items():
+            assert (seg_a == seg_b) == (members[a] == members[b]), (a, b)

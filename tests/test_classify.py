@@ -300,6 +300,30 @@ def test_theorem_suite_decides_each_star_domain_once(monkeypatch, K_quad, K_triv
         assert len(asked) == len(set(asked)), f"{domain.name} with {op!r}: {asked}"
 
 
+def test_theorem_suite_checks_each_coherence_once(monkeypatch, K_quad, K_triv):
+    """One suite runs coherence_check at most once per (kind, op), also when
+    ft(op) is op itself."""
+    from semistar import classify, theorems
+    from semistar.operations import pullback_domain, semigroup_domain, valuation_domain
+
+    asked = []
+    original = classify.coherence_check
+
+    def counted(domain, kind, op, spec):
+        asked.append((kind, op))
+        return original(domain, kind, op, spec)
+
+    monkeypatch.setattr(classify, "coherence_check", counted)
+    spec = SampleSpec(seed=0, count=2)
+    for domain in (pullback_domain(K_quad, "Z", "pvd-coherence-once"),
+                   semigroup_domain([3, 4, 5], "numsgr-coherence-once"),
+                   valuation_domain(K_triv, "Q", "v-q-coherence-once")):
+        for op in (v_op(), t_op(), d_op()):
+            asked.clear()
+            theorems.theorem_suite(domain, op, spec)
+            assert len(asked) == len(set(asked)), f"{domain.name} with {op!r}: {asked}"
+
+
 def test_combined_verdicts_reject_a_holds_beside_a_refuted(monkeypatch, dom_vq):
     from semistar import classify
     from semistar.classify import dedekind_verdict, pstarmd_verdict

@@ -1,5 +1,6 @@
-"""Design guards: the family string is read in two places only, and the
-three ideal engines answer to the same names."""
+"""Design guards: the family string is read in two places only, the three
+ideal engines answer to the same names, and only the groups module knows
+how a segment is stored."""
 
 from __future__ import annotations
 
@@ -79,3 +80,29 @@ def test_the_engines_expose_the_same_public_names():
     names = {e.__name__: frozenset(n for n in dir(e) if not n.startswith("_")) for e in engines}
     union = frozenset().union(*names.values())
     assert {name: sorted(union - got) for name, got in names.items()} == {name: [] for name in names}
+
+
+def _segment_key_uses(source: str):
+    """Lines that read a stored segment key or build a Segment from a raw key."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "key":
+            hits.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Segment":
+            hits.append(node.lineno)
+    return sorted(hits)
+
+
+def test_the_guard_sees_a_segment_key_read():
+    planted = "def f(s, g):\n    if s.key[2]:\n        return Segment(g, (0, 1, 0))\n"
+    assert _segment_key_uses(planted) == [2, 3]
+
+
+def test_only_the_groups_module_reads_the_segment_key():
+    groups = SRC / "algebra" / "groups.py"
+    stray = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py")) if path != groups
+        for line in _segment_key_uses(path.read_text(encoding="utf-8"))
+    ]
+    assert stray == []

@@ -9,7 +9,6 @@ import pytest
 
 from semistar.algebra import AlgebraError, Segment, Subspace, ValueGroup
 from semistar.dplusm import (
-    DomainPrime,
     PullbackDomain,
     ValuationDomain,
     canonical,
@@ -433,28 +432,24 @@ def test_truncated_model_oracle(pd_z, K_quad):
                     assert bad or tail_escape
 
 
-def test_localize_at_examples(K_triv):
+def test_localize_at_examples():
     lex = ValueGroup("ZxZ")
-    vd = ValuationDomain(K_triv, lex)
-    prime = DomainPrime(vd)
     z = ValueGroup("Z")
-    assert localize_at(Segment.closed(lex, (1, 5)), prime) == Segment.closed(z, 1)
-    assert localize_at(Segment.closed(lex, (1, -3)), prime) == Segment.closed(z, 1)
-    assert localize_at(Segment.open(lex, (0, 0)), prime) == Segment.closed(z, 0)
-    assert localize_at(Segment.whole(lex), prime) == Segment.whole(z)
+    assert localize_at(Segment.closed(lex, (1, 5))) == Segment.closed(z, 1)
+    assert localize_at(Segment.closed(lex, (1, -3))) == Segment.closed(z, 1)
+    assert localize_at(Segment.open(lex, (0, 0))) == Segment.closed(z, 0)
+    assert localize_at(Segment.whole(lex)) == Segment.whole(z)
     with pytest.raises(AlgebraError):
-        localize_at(Segment.closed(ValueGroup("Q"), 1), prime)
+        localize_at(Segment.closed(ValueGroup("Q"), 1))
 
 
-def test_localize_against_lex_enumeration(K_triv):
+def test_localize_against_lex_enumeration():
     lex = ValueGroup("ZxZ")
-    vd = ValuationDomain(K_triv, lex)
-    prime = DomainPrime(vd)
     rng = random.Random(12)
     for _ in range(60):
         cut = (rng.randint(-4, 4), rng.randint(-4, 4))
         seg = Segment.closed(lex, cut)
-        proj = localize_at(seg, prime)
+        proj = localize_at(seg)
         for first in range(-6, 7):
             expected = any(seg.contains((first, b)) for b in range(-40, 41))
             assert proj.contains(first) == expected
