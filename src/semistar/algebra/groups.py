@@ -10,8 +10,8 @@ set of its group, stored as one totally ordered key:
 
 The upper sets of a totally ordered group form a chain, and a larger key is
 a smaller set, so inclusion is key order and meet and join are max and min
-of keys.  In discrete groups {g > c} is stored as {g >= c + 1}, so that
-structural equality is semantic equality.
+of keys.  In discrete groups {g > c} is stored as {g >= c'}, c' the
+successor of c, so that structural equality is semantic equality.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ class Segment:
     def contains(self, g) -> bool:
         if len(self.key) == 1:
             return self.key == _WHOLE
-        return self.key <= (0, self.group.coerce(g), 0)  # {g} inside self
+        return self.key <= (0, self.group.coerce(g), 0)  # {h >= g} inside self
 
     def leq(self, other: "Segment") -> bool:
         """Subset test: self a subset of other."""
