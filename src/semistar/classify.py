@@ -233,7 +233,14 @@ def _induced_by_valuation_overring(op: SemistarOp, domain: DomainHandle) -> bool
 
 def cancellation_verdict(domain, op, spec, star_domain: Verdict, fg_only: bool) -> Verdict:
     """The a.b. verdict (e.a.b. when fg_only) given the star-domain verdict of
-    op: a star-domain cancels, otherwise search for a cancellation failure."""
+    op: a star-domain cancels, otherwise search for a cancellation failure.
+
+    The search walks the triples (E, F, G) of the ideal list in
+    lexicographic order, E outermost, until the budget runs out, and
+    refutes at the first (EF)^op <= (EG)^op with F^op not <= G^op.  Every
+    walked triple counts toward the budget, but a block whose E is not
+    finitely generated, or is D itself, is decided without building
+    anything: DF = F, so its failure test reads `X and not X`."""
     if star_domain.is_holds:
         return holds("star-domain-cancellation", detail=star_domain.reason)
     if _induced_by_valuation_overring(op, domain):
@@ -243,7 +250,9 @@ def cancellation_verdict(domain, op, spec, star_domain: Verdict, fg_only: bool) 
         ideals = [make_handle(domain, i) for i in window]
     else:
         ideals = probe_ideals(domain, spec, n=24, fg=fg_only)
-    budget = min(spec.count * 40, len(ideals) ** 3)
+    n = len(ideals)
+    budget = min(spec.count * 40, n**3)
+    unit = unit_handle(domain)
     checked = 0
     closed = {}  # (i, j) -> (E_i F_j)^op and (None, j) -> F_j^op, for this call only
 
@@ -252,16 +261,19 @@ def cancellation_verdict(domain, op, spec, star_domain: Verdict, fg_only: bool) 
             closed[i, j] = apply(op, ideals[j] if i is None else handle_mul(ideals[i], ideals[j]))
         return closed[i, j]
 
-    for (a, e), (b, f), (c, g) in itertools.product(enumerate(ideals), repeat=3):
-        if checked >= budget:
+    for a, e in enumerate(ideals):
+        block = min(n * n, budget - checked)  # the triples (e, *, *) within budget
+        if block <= 0:
             break
-        checked += 1
-        if not e.finitely_generated:
+        if not e.finitely_generated or handle_eq(e, unit):
+            checked += block
             continue
-        if fg_only and not (f.finitely_generated and g.finitely_generated):
-            continue
-        if handle_leq(star(a, b), star(a, c)) and not handle_leq(star(None, b), star(None, c)):
-            return refuted(e, f, g, detail="cancellation failure")
+        for (b, f), (c, g) in itertools.islice(itertools.product(enumerate(ideals), repeat=2), block):
+            checked += 1
+            if fg_only and not (f.finitely_generated and g.finitely_generated):
+                continue
+            if handle_leq(star(a, b), star(a, c)) and not handle_leq(star(None, b), star(None, c)):
+                return refuted(e, f, g, detail="cancellation failure")
     return unknown(checked)
 
 
@@ -453,12 +465,21 @@ def h_clauses(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> dict:
     return out
 
 
-def is_H_domain(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Verdict:
+def _h_by_theorem(domain: DomainHandle, op: SemistarOp):
+    """The H verdict when a structural theorem gives it, else None."""
     if known_finite_type(op):
         return holds("finite-type", detail="finite-type operations satisfy the finite-character condition trivially")
     if "all_fg" in domain.capabilities:
         return holds("all-representable-ideals-finitely-generated")
-    clauses = h_clauses(domain, op, spec)
+    return None
+
+
+def h_verdict(domain: DomainHandle, op: SemistarOp, clauses: dict) -> Verdict:
+    """The H verdict given the `h_clauses` of op: a structural theorem when
+    one applies, else the decided clauses, which must agree."""
+    by_theorem = _h_by_theorem(domain, op)
+    if by_theorem is not None:
+        return by_theorem
     name = _agreed(clauses, "H clauses")
     if name is None:
         return unknown(len(clauses))
@@ -468,12 +489,29 @@ def is_H_domain(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Verdi
     return holds(v.reason, detail=f"{name}: {v.detail}")
 
 
-def is_I_domain(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Verdict:
+def is_H_domain(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Verdict:
+    by_theorem = _h_by_theorem(domain, op)
+    if by_theorem is not None:
+        return by_theorem
+    return h_verdict(domain, op, h_clauses(domain, op, spec))
+
+
+def _i_by_theorem(domain: DomainHandle, op: SemistarOp):
+    """The I verdict when a structural theorem gives it, else None."""
     if known_finite_type(op):
         return holds("finite-type", detail="invertibility under op and its finite-type closure coincide syntactically")
     if "valuation" in domain.capabilities:
         return holds("valuation-fg-principal", detail="finitely generated ideals are principal and invertible under every operation")
-    h = is_H_domain(domain, op, spec)
+    return None
+
+
+def i_verdict(domain: DomainHandle, op: SemistarOp, spec: SampleSpec, h: Verdict) -> Verdict:
+    """The I verdict given the H verdict h of op: a structural theorem, the
+    finite-character condition, else a search for an fg ideal invertible
+    under op but not under its finite-type closure."""
+    by_theorem = _i_by_theorem(domain, op)
+    if by_theorem is not None:
+        return by_theorem
     if h.is_holds:
         return holds("finite-character", detail="the finite-character condition forces the invertibility classes to agree")
     fop = ft_op(op)
@@ -481,6 +519,13 @@ def is_I_domain(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Verdi
         if is_star_invertible(op, i) and not is_star_invertible(fop, i):
             return refuted(i, detail="invertible under op but not under its finite-type closure")
     return unknown(spec.count)
+
+
+def is_I_domain(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Verdict:
+    by_theorem = _i_by_theorem(domain, op)
+    if by_theorem is not None:
+        return by_theorem
+    return i_verdict(domain, op, spec, is_H_domain(domain, op, spec))
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,9 @@ def _parse_poly(txt: str, base, ctx: str, pos: int):
         deg = max(coeffs)
     except (ValueError, ZeroDivisionError):
         raise ParseError(ctx, pos, "a polynomial in a with rational coefficients, e.g. a^2-2") from None
+    cap = base.extension_degree_cap
+    if deg > cap:  # checked before the coefficient list is built
+        raise ParseError(ctx, pos, f"an extension of degree at most {cap} over {base!r}, got degree {deg}")
     return [base.coerce(coeffs.get(i, 0)) for i in range(deg + 1)]
 
 

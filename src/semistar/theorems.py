@@ -228,10 +228,10 @@ def theorem_suite(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Sui
     lines.append(_biconditional("dedekind-iff-noetherian-star-domain", ded, _conj(noeth, star_domain)))
 
     # --- finite-character section
-    h = classify.is_H_domain(domain, op, spec)
-    i = classify.is_I_domain(domain, op, spec)
-    lines.append(_implication("h-domain-implies-i-domain", h, i))
     clause_verdicts = classify.h_clauses(domain, op, spec)
+    h = classify.h_verdict(domain, op, clause_verdicts)
+    i = classify.i_verdict(domain, op, spec, h)
+    lines.append(_implication("h-domain-implies-i-domain", h, i))
     decided = {k: v for k, v in clause_verdicts.items() if not v.is_unknown}
     if decided:
         kinds = {v.is_holds for v in decided.values()}

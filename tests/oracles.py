@@ -5,21 +5,26 @@ elements of k + M pullbacks; bitmasks on a fixed window stand for value
 sets of monomial ideals of numerical semigroup rings; value-group segments
 are membership tests read off their definition.  Row reduction and
 extension-field arithmetic are restated through the base field's generic
-methods, and primality and irreducibility over F_p by trial division, as
-references for the integer kernels.
+methods, primality and irreducibility over F_p by trial division, and
+irreducibility over Q by the rational root theorem with trial-division
+divisors, as references for the integer kernels.  The cancellation search
+is restated as a closing walk over every triple within its budget.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from semistar import dplusm
 from semistar.algebra import AlgebraError, Segment
 from semistar.algebra.linalg import Subspace
-from semistar.algebra.fields import SAMPLE_ATTEMPTS, poly_divmod, poly_trim
+from semistar.algebra.fields import SAMPLE_ATTEMPTS, common_denominator, poly_divmod, poly_trim
+from semistar.classify import _induced_by_valuation_overring, probe_ideals
 from semistar.dplusm import LeveledModule, PullbackDomain, canonical
 from semistar.numsgr import NumericalSemigroup
-from semistar.operations import IdealHandle, LocalizingSystemView
+from semistar.operations import IdealHandle, LocalizingSystemView, apply, handle_leq, handle_mul, make_handle
+from semistar.verdict import holds, refuted, unknown
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +314,71 @@ def irreducible_reference(base, modulus) -> bool:
             if not r:
                 return False
     return True
+
+
+def _divisors(n: int):
+    out = []
+    k = 1
+    while k * k <= n:
+        if n % k == 0:
+            out.append(k)
+            out.append(n // k)
+        k += 1
+    return out
+
+
+def irreducible_over_rationals_reference(modulus) -> bool:
+    """Degree 2 or 3 over Q: irreducible iff no rational root, every
+    candidate p/q read off the divisors of the cleared constant and leading
+    terms by trial division."""
+    ints, _ = common_denominator([Fraction(c) for c in modulus])
+    if ints[0] == 0:
+        return False
+    for p in _divisors(abs(ints[0])):
+        for q in _divisors(abs(ints[-1])):
+            for sign in (1, -1):
+                x = Fraction(sign * p, q)
+                if sum(c * x**i for i, c in enumerate(ints)) == 0:
+                    return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# the cancellation search, closing every walked triple
+
+def cancellation_reference(domain, op, spec, star_domain, fg_only: bool):
+    """`classify.cancellation_verdict` as a plain walk: every triple within
+    the budget with E finitely generated (and F, G too when fg_only) has its
+    products formed and closed, E = D included."""
+    if star_domain.is_holds:
+        return holds("star-domain-cancellation", detail=star_domain.reason)
+    if _induced_by_valuation_overring(op, domain):
+        return holds("valuation-overring-ab")
+    window = domain.engine.ideal_window()
+    if window is not None:
+        ideals = [make_handle(domain, i) for i in window]
+    else:
+        ideals = probe_ideals(domain, spec, n=24, fg=fg_only)
+    budget = min(spec.count * 40, len(ideals) ** 3)
+    checked = 0
+    closed = {}  # (i, j) -> (E_i F_j)^op and (None, j) -> F_j^op
+
+    def star(i, j):
+        if (i, j) not in closed:
+            closed[i, j] = apply(op, ideals[j] if i is None else handle_mul(ideals[i], ideals[j]))
+        return closed[i, j]
+
+    for (a, e), (b, f), (c, g) in itertools.product(enumerate(ideals), repeat=3):
+        if checked >= budget:
+            break
+        checked += 1
+        if not e.finitely_generated:
+            continue
+        if fg_only and not (f.finitely_generated and g.finitely_generated):
+            continue
+        if handle_leq(star(a, b), star(a, c)) and not handle_leq(star(None, b), star(None, c)):
+            return refuted(e, f, g, detail="cancellation failure")
+    return unknown(checked)
 
 
 # ---------------------------------------------------------------------------

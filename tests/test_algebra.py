@@ -54,6 +54,25 @@ def test_degree_cap_over_rationals(QQ):
         ExtensionField(QQ, [1, 1, 0, 0, 1])
 
 
+def test_degree_cap_over_prime_fields(QQ):
+    """The cap is named in the error, before any irreducibility work."""
+    base = PrimeField(2)
+    cap = base.extension_degree_cap
+    with pytest.raises(AlgebraError, match=f"limited to {cap}"):
+        ExtensionField(base, [1, 1] + [0] * (cap - 1) + [1])
+    with pytest.raises(AlgebraError, match="limited to 3"):
+        ExtensionField(QQ, [1, 1, 0, 0, 1])
+
+
+def test_parser_rejects_a_degree_above_the_cap_before_building_it():
+    from semistar.exprs import ParseError, parse_domain
+
+    with pytest.raises(ParseError, match="degree at most 3 over Q, got degree 100000000"):
+        parse_domain("family=pullback extension=a^100000000-2 group=Z")
+    with pytest.raises(ParseError, match="degree at most 16 over F2, got degree 17"):
+        parse_domain("family=pullback base_field=Fp:2 extension=a^17+a^3+1 group=Z")
+
+
 @pytest.mark.parametrize("field_name", ["K_quad", "K_f5", "cubic"])
 def test_field_axioms_sampled(field_name, QQ, K_quad, K_f5):
     K = {"K_quad": K_quad, "K_f5": K_f5, "cubic": ExtensionField(QQ, [-2, 0, 0, 1])}[field_name]

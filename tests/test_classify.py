@@ -491,3 +491,139 @@ def test_theorem_suite_draws_each_sample_once(monkeypatch, K_quad):
     # each stored index took one call, and a pair two
     stored = sum(len(s.drawn) * (2 if salt.startswith("pairs/") else 1) for (_, salt), s in spec.draws.items())
     assert len(calls) == stored
+
+
+# ---------------------------------------------------------------------------
+# the cancellation search decides the E = D block by DF = F
+
+# the catalog plus the off-catalog domains of the closure-laws benchmark
+CANCELLATION_GRID = (
+    ("family=valuation base_field=Q group=Q", ("asc(v)", "asc(w)")),
+    ("family=numsgr generators=[5,7,9]", ("d", "v", "t", "w", "st[ic]", "bar(v)")),
+    ("family=pullback base_field=Q extension=a^3-2 group=Q", ("d", "v", "st[V]", "tilde(st[V])", "bar(st[V])")),
+    ("family=pullback base_field=Fp:5 extension=a^3+a+1 group=Q", ("d", "v", "st[V]", "tilde(st[V])", "bar(st[V])")),
+    ("family=pullback base_field=Fp:2 extension=a^4+a+1 group=Z",
+     ("d", "v", "st[V]", "tilde(st[V])", "bar(st[V])", "desc(d)", "desc(v)")),
+)
+
+
+def _outcome(search, *args):
+    try:
+        v = search(*args)
+    except Exception as exc:  # an exception is an outcome too, and must match
+        return ("raised", type(exc), exc.args)
+    return (v.outcome, repr(v.witness), v.samples, v.reason, v.detail)
+
+
+def test_cancellation_search_matches_the_closing_walk():
+    """Outcome, witness and sample count equal those of the walk that closes
+    every triple, E = D included, over the catalog and the closure-laws
+    domains at seeds 0-3, counts 2, 20 and 60, for a.b. and e.a.b."""
+    from semistar import classify, exprs, scenarios
+    from oracles import cancellation_reference
+
+    instances = [(exprs.parse_domain(text), [exprs.parse_op(t) for t in ops])
+                 for text, ops in scenarios.INSTANCE_CATALOG + CANCELLATION_GRID]
+    compared = 0
+    for seed in range(4):
+        for count in (2, 20, 60):
+            spec = SampleSpec(seed=seed, count=count)
+            for domain, ops in instances:
+                for op in ops:
+                    star_domain = is_star_domain(domain, op, spec)
+                    for fg_only in (False, True):
+                        args = (domain, op, spec, star_domain, fg_only)
+                        assert _outcome(classify.cancellation_verdict, *args) == \
+                            _outcome(cancellation_reference, *args), (seed, count, domain.name, op, fg_only)
+                        compared += 1
+    assert compared == 1320
+
+
+def test_cancellation_closes_nothing_in_the_unit_block(monkeypatch, dom_345):
+    """At count 2 the whole budget falls on E = D, so a non-star-domain
+    search takes no closure; at count 20 the next block is still closed."""
+    from semistar import classify
+    from oracles import cancellation_reference
+
+    closed = []
+    original = classify.apply
+
+    def counted(op, h):
+        closed.append(h)
+        return original(op, h)
+
+    monkeypatch.setattr(classify, "apply", counted)
+    op = d_op()
+    for count in (2, 20):
+        spec = SampleSpec(seed=0, count=count)
+        star_domain = is_star_domain(dom_345, op, spec)
+        assert star_domain.is_refuted
+        closed.clear()
+        verdict = classify.cancellation_verdict(dom_345, op, spec, star_domain, fg_only=True)
+        assert _outcome(lambda: verdict) == _outcome(cancellation_reference, dom_345, op, spec, star_domain, True)
+        n = len(dom_345.engine.ideal_window())
+        assert n * n >= 40 * 2 and n * n < 40 * 20
+        if count == 2:
+            assert verdict.is_unknown and verdict.samples == 80 and closed == []
+        else:
+            assert closed, "the E = M block must be closed"
+
+
+def test_cancellation_counts_every_triple_of_a_short_list(monkeypatch):
+    """With the budget above n^3 the whole walk is counted, blocks skipped
+    by DF = F included.  At seed 0 the fg list of the catalog's dense
+    valuation domain starts with D and then a sample equal to D, so only
+    its third block is closed."""
+    import oracles
+    from semistar import classify
+    from semistar.exprs import parse_domain
+    from semistar.verdict import unknown
+
+    dom_vq = parse_domain("family=valuation base_field=Q group=Q")
+
+    original = classify.probe_ideals
+
+    def short(*args, **kwargs):
+        return original(*args, **kwargs)[:3]
+
+    monkeypatch.setattr(classify, "probe_ideals", short)
+    monkeypatch.setattr(oracles, "probe_ideals", short)
+    spec = SampleSpec(seed=0, count=1)
+    for op in (d_op(), v_op()):
+        for fg_only in (False, True):
+            args = (dom_vq, op, spec, unknown(0), fg_only)
+            verdict = classify.cancellation_verdict(*args)
+            assert verdict.is_unknown and verdict.samples == 27
+            assert _outcome(lambda: verdict) == _outcome(oracles.cancellation_reference, *args)
+    closed = []
+    monkeypatch.setattr(classify, "handle_mul", lambda e, f: closed.append(e) or handle_mul(e, f))
+    classify.cancellation_verdict(dom_vq, d_op(), spec, unknown(0), fg_only=True)
+    unit = unit_handle(dom_vq)
+    fg_list = short(dom_vq, spec, n=24, fg=True)
+    assert handle_eq(fg_list[1], unit) and fg_list[1] is not unit
+    assert closed and not any(handle_eq(e, unit) for e in closed)
+
+
+def test_theorem_suite_computes_h_clauses_once(monkeypatch, K_quad, K_triv):
+    """One suite asks h_clauses at most once: the H and I verdicts are
+    combined from the clauses the suite already holds."""
+    from semistar import classify, theorems
+    from semistar.operations import pullback_domain, semigroup_domain, valuation_domain
+
+    calls = []
+    original = classify.h_clauses
+
+    def counted(domain, op, spec):
+        calls.append(op)
+        return original(domain, op, spec)
+
+    monkeypatch.setattr(classify, "h_clauses", counted)
+    spec = SampleSpec(seed=0, count=2)
+    vq = valuation_domain(K_triv, "Q", "v-q-h-once")
+    for domain, op in ((pullback_domain(K_quad, "Z", "pvd-h-once"), v_op()),
+                       (pullback_domain(K_quad, "Q", "p318-h-once"), st_op("V")),
+                       (semigroup_domain([3, 4, 5], "numsgr-h-once"), v_op()),
+                       (vq, v_op()), (vq, st_op("K"))):
+        calls.clear()
+        theorems.theorem_suite(domain, op, spec)
+        assert len(calls) <= 1, f"{domain.name} with {op!r}: {calls}"

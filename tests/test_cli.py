@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -120,3 +121,25 @@ def test_unknown_tag_in_an_expression_is_one_line_and_exit_2(tmp_path, capsys):
     assert main(["--domain", path, "--expr", "spec{X}(D)"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+HOSTILE = sorted((pathlib.Path(__file__).parent / "hostile").glob("*.domain"))
+
+
+@pytest.mark.parametrize("path", HOSTILE, ids=[p.stem for p in HOSTILE])
+def test_hostile_extension_fails_fast_with_exit_2(path, capsys):
+    """A huge constant term over Q, and degrees far above the caps over Q
+    and F_p, each fail with one line and exit code 2 in under a second."""
+    start = time.perf_counter()
+    assert main(["--domain", str(path), "--expr", "D"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(("parse error: ", "error: ")) and err.count("\n") == 1
+
+
+def test_huge_irreducible_rational_modulus_is_decided_fast(tmp_path, capsys):
+    path = _domain_file(tmp_path, "family=pullback extension=a^2-1000000000000000000000003 group=Z")
+    start = time.perf_counter()
+    assert main(["--domain", path, "--expr", "D"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out.strip() == "<1*t(0)>"

@@ -13,17 +13,23 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semistar.algebra import AlgebraError, ExtensionField, PrimeField, Rationals, Subspace
-from semistar.algebra.fields import SAMPLE_ATTEMPTS, _irreducible_over_prime_field, _is_prime
+from semistar.algebra.fields import (
+    SAMPLE_ATTEMPTS,
+    _irreducible_over_prime_field,
+    _irreducible_over_rationals,
+    _is_prime,
+)
 from semistar.algebra.linalg import nullspace, rref
 from semistar.exprs import parse_domain
 
 from oracles import (
     ext_inv_reference,
     ext_mul_reference,
+    irreducible_over_rationals_reference,
     irreducible_reference,
     is_prime_reference,
     monic_polys,
@@ -148,6 +154,36 @@ def test_rabin_matches_trial_division(p, top):
     for degree in range(1, top + 1):
         for f in monic_polys(base, degree):
             assert _irreducible_over_prime_field(base, f) == irreducible_reference(base, f), f
+
+
+def _times_linear(f, r):
+    """(x - r) f, coefficients lowest degree first."""
+    shifted = [Fraction(0)] + list(f)
+    return [s - r * c for s, c in zip(shifted, list(f) + [Fraction(0)])]
+
+
+small_rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+
+
+@st.composite
+def rational_moduli(draw):
+    """Monic moduli of degree 2 or 3 over Q with small terms: free ones, and
+    products (x - r) g with g monic, which have the rational root r."""
+    degree = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(small_rationals, min_size=degree, max_size=degree))) + (Fraction(1),)
+    g = tuple(draw(st.lists(small_rationals, min_size=degree - 1, max_size=degree - 1))) + (Fraction(1),)
+    return tuple(_times_linear(g, draw(small_rationals)))
+
+
+@settings(derandomize=True, database=None, deadline=2000, max_examples=200)
+@given(rational_moduli())
+@example((Fraction(2), Fraction(3), Fraction(1)))  # (x+1)(x+2): discriminant 1
+@example((Fraction(2), Fraction(-3), Fraction(0), Fraction(1)))  # (x-1)^2 (x+2): a root at a critical point
+@example((Fraction(-2), Fraction(0), Fraction(0), Fraction(1)))  # x^3 - 2
+@example((Fraction(1, 4), Fraction(0), Fraction(-1), Fraction(1)))  # x^3 - x^2 + 1/4
+def test_rational_irreducibility_matches_trial_division(modulus):
+    assert _irreducible_over_rationals(modulus) == irreducible_over_rationals_reference(modulus), modulus
 
 
 @pytest.mark.parametrize("text", [
