@@ -566,7 +566,7 @@ def test_cancellation_closes_nothing_in_the_unit_block(monkeypatch, dom_345):
         if count == 2:
             assert verdict.is_unknown and verdict.samples == 80 and closed == []
         else:
-            assert closed, "the E = M block must be closed"
+            assert closed, "the block after E = D must be closed"
 
 
 def test_cancellation_counts_every_triple_of_a_short_list(monkeypatch):
