@@ -1,9 +1,19 @@
 """Parsers for domain specifications, operation terms, and ideal expressions.
 
-The expression grammar (loosest to tightest): ':' < '&' < '+' < '*', with
-parentheses overriding.  Atoms are generator lists like <x^3, x^4> (semigroup
-rings) or <1*t(0), a*t(1)> (pullbacks and valuation domains), plus the named
-ideals D, M, V.  parse -> print -> parse is a fixed point.
+An operation term (`parse_op`) is an atom d, v, t, w, st[V|ic|K] or
+spec{M|P1}, spelled as `operations.op_to_text` spells it, or one of the
+wrappers ft, bar, tilde, asc, desc around a term, as in ft(bar(st[V])).
+
+An ideal expression (`parse_expr`) combines, loosest binding first,
+':' (colon) < '&' (intersection) < '+' < '*', with parentheses overriding,
+over these units:
+  - generator lists like <x^3, x^4> (semigroup rings) or <1*t(0), a*t(1)>
+    (pullbacks and valuation domains);
+  - the named ideals D, M and V;
+  - closures v|t|w|inv(E), st[V|ic|K](E), spec{M|P1}(E),
+    ft|bar|tilde|asc|desc[OP](E) and apply[OP](E), where OP is an
+    operation term.
+parse -> print -> parse is a fixed point.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from .operations import (
     handle_mul,
     make_handle,
     maximal_handle,
+    op_to_text,
     pullback_domain,
     semigroup_domain,
     spec_op,
@@ -42,6 +53,12 @@ from .operations import (
     w_op,
     desc_op,
 )
+
+# Hostile-input caps, sized by measurement (README, "Scope notes"): the digits
+# of a literal, in a domain file or an expression, and the degree in a and its
+# literals of a power in an expression, however powers nest.
+MAX_LITERAL_DIGITS = 100
+MAX_COEFF_DEGREE = 256
 
 
 class ParseError(ValueError):
@@ -137,13 +154,15 @@ def _parse_poly(txt: str, base, ctx: str, pos: int):
                 term = term[1:]
             if "a" in term:
                 head, _, tail = term.partition("a")
-                c = Fraction(head.rstrip("*")) if head.rstrip("*") else Fraction(1)
+                c = _literal(head.rstrip("*") or "1", ctx, pos)
                 power = int(tail[1:]) if tail.startswith("^") else 1
             else:
-                c = Fraction(term)
+                c = _literal(term, ctx, pos)
                 power = 0
             coeffs[power] = coeffs.get(power, Fraction(0)) + sign * c
         deg = max(coeffs)
+    except ParseError:  # a cap from _literal; ParseError is a ValueError
+        raise
     except (ValueError, ZeroDivisionError):
         raise ParseError(ctx, pos, "a polynomial in a with rational coefficients, e.g. a^2-2") from None
     cap = base.extension_degree_cap
@@ -152,37 +171,29 @@ def _parse_poly(txt: str, base, ctx: str, pos: int):
     return [base.coerce(coeffs.get(i, 0)) for i in range(deg + 1)]
 
 
-# ---------------------------------------------------------------------------
-# operation terms
-
-def parse_op(text: str) -> SemistarOp:
-    op, rest = _op_term(text.strip(), 0)
-    if rest != len(text.strip()):
-        raise ParseError(text, rest, "end of operation term")
-    return op
-
-
-def _op_term(s: str, i: int):
-    for name, builder in (("st[V]", lambda: st_op("V")), ("st[ic]", lambda: st_op("ic")),
-                          ("st[K]", lambda: st_op("K")), ("spec{M}", lambda: spec_op("M")),
-                          ("spec{P1}", lambda: spec_op("P1"))):
-        if s.startswith(name, i):
-            return builder(), i + len(name)
-    for name, wrap in (("ft", ft_op), ("bar", bar_op), ("tilde", tilde_op),
-                       ("asc", asc_op), ("desc", desc_op)):
-        if s.startswith(name + "(", i):
-            inner, j = _op_term(s, i + len(name) + 1)
-            if j >= len(s) or s[j] != ")":
-                raise ParseError(s, j, "')'")
-            return wrap(inner), j + 1
-    for name, builder in (("d", d_op), ("v", v_op), ("t", t_op), ("w", w_op)):
-        if s.startswith(name, i) and (i + 1 == len(s) or not s[i + 1].isalnum()):
-            return builder(), i + 1
-    raise ParseError(s, i, "an operation term")
+def _literal(txt: str, ctx: str, pos: int) -> Fraction:
+    """Fraction(txt), with its size read from the text first: Fraction builds
+    1e10000000 exactly as written, which takes seconds."""
+    mantissa, _, exp = txt.lower().replace("_", "").partition("e")
+    if len(txt) > MAX_LITERAL_DIGITS or len(mantissa) + abs(int(exp or 0)) > MAX_LITERAL_DIGITS:
+        raise ParseError(ctx, pos, f"coefficients of at most {MAX_LITERAL_DIGITS} digits")
+    return Fraction(txt)
 
 
 # ---------------------------------------------------------------------------
-# ideal expressions
+# operation terms and ideal expressions
+
+# Operation-term atoms as op_to_text spells them, the bracketed tags of st
+# and spec, and the wrappers, each spelled by its kind.
+_OP_ATOMS = {"d": d_op, "v": v_op, "t": t_op, "w": w_op}
+_OP_TAGS = {"st": ("[]", st_op, ("V", "ic", "K")), "spec": ("{}", spec_op, ("M", "P1"))}
+_WRAPPERS = {"ft": ft_op, "bar": bar_op, "tilde": tilde_op, "asc": asc_op, "desc": desc_op}
+_BARE_HEADS = ("v", "t", "w")  # the atoms that head a closure without brackets
+_OPERATORS = ":&+*"  # binary ideal operators, loosest binding first
+
+_WORD = re.compile(r"[ \t\n]*(\w*)")
+_INTEGER = re.compile(r"[ \t\n]*(-?\d*)")
+
 
 @dataclass(frozen=True)
 class Atom:
@@ -196,7 +207,7 @@ class GenIdeal:
 
 @dataclass(frozen=True)
 class Bin:
-    op: str  # '+', '*', '&', ':'
+    op: str  # one of _OPERATORS
     lhs: object
     rhs: object
 
@@ -208,10 +219,11 @@ class Func:
 
 
 class _Parser:
-    def __init__(self, text: str, domain: DomainHandle):
+    def __init__(self, text: str, domain: DomainHandle | None = None):
         self.text = text
         self.domain = domain
-        self.K = domain.engine.K  # coefficient field; None for bare monomials x^n
+        # coefficient field; None for bare monomials x^n and for operation terms
+        self.K = None if domain is None else domain.engine.K
         self.i = 0
 
     def error(self, expected: str):
@@ -230,106 +242,83 @@ class _Parser:
             self.error(f"'{ch}'")
         self.i += 1
 
-    def parse(self):
-        node = self.level_colon()
-        self.skip_ws()
-        if self.i != len(self.text):
-            self.error("end of expression")
-        return node
+    def end(self, expected: str):
+        if self.peek():
+            self.error(expected)
 
-    def level_colon(self):
-        node = self.level_meet()
-        while self.peek() == ":":
+    def word(self):
+        """(position, identifier) at the cursor; the identifier may be empty."""
+        match = _WORD.match(self.text, self.i)
+        self.i = match.end()
+        return match.start(1), match.group(1)
+
+    def op_term(self) -> SemistarOp:
+        """The operation term at the cursor.  This is the only reader of the
+        spelling: parse_op and every bracketed closure head go through it."""
+        start, name = self.word()
+        if name in _WRAPPERS and self.peek() == "(":
             self.i += 1
-            node = Bin(":", node, self.level_meet())
-        return node
+            inner = self.op_term()
+            self.take(")")
+            return _WRAPPERS[name](inner)
+        if name in _OP_TAGS:
+            brackets, make, tags = _OP_TAGS[name]
+            self.take(brackets[0])
+            at, tag = self.word()
+            if tag not in tags:
+                raise ParseError(self.text, at, "one of " + ", ".join(tags))
+            self.take(brackets[1])
+            return make(tag)
+        if name not in _OP_ATOMS:
+            raise ParseError(self.text, start, "an operation term")
+        return _OP_ATOMS[name]()
 
-    def level_meet(self):
-        node = self.level_sum()
-        while self.peek() == "&":
-            self.i += 1
-            node = Bin("&", node, self.level_sum())
-        return node
-
-    def level_sum(self):
-        node = self.level_prod()
-        while self.peek() == "+":
-            self.i += 1
-            node = Bin("+", node, self.level_prod())
-        return node
-
-    def level_prod(self):
+    def expr(self, min_prec: int = 0):
+        """Precedence climbing over _OPERATORS; every operator associates left."""
         node = self.unit()
-        while self.peek() == "*":
+        while True:
+            ch = self.peek()
+            prec = _OPERATORS.find(ch) if ch else -1
+            if prec < min_prec:
+                return node
             self.i += 1
-            node = Bin("*", node, self.unit())
-        return node
+            node = Bin(ch, node, self.expr(prec + 1))
 
     def unit(self):
         ch = self.peek()
         if ch == "(":
             self.i += 1
-            node = self.level_colon()
+            node = self.expr()
             self.take(")")
             return node
         if ch == "<":
             return self.gen_ideal()
         return self.name_or_func()
 
-    def _ident(self):
-        self.skip_ws()
-        start = self.i
-        while self.i < len(self.text) and (self.text[self.i].isalnum() or self.text[self.i] == "_"):
-            self.i += 1
-        if self.i == start:
-            self.error("a name")
-        return self.text[start:self.i]
-
     def name_or_func(self):
-        name = self._ident()
+        start, name = self.word()
         nxt = self.peek()
         if name in ("D", "M", "V") and nxt not in ("(", "["):
             if name == "V" and not self.domain.engine.overring_atom:
-                self.error("an ideal atom valid for this family ('V' needs a valuation overring)")
+                raise ParseError(self.text, start, "an ideal atom valid for this family ('V' needs a valuation overring)")
             return Atom(name)
-        if name in ("v", "t", "w", "inv") and nxt == "(":
-            self.i += 1
-            arg = self.level_colon()
-            self.take(")")
-            op = {"v": v_op(), "t": t_op(), "w": w_op(), "inv": "inv"}[name]
-            return Func(op, arg)
-        if name in ("ft", "bar", "tilde", "st", "apply", "asc", "desc", "spec") and nxt in ("[", "{"):
-            close = "]" if nxt == "[" else "}"
-            self.i += 1
-            start = self.i
-            depth = 1
-            while self.i < len(self.text):
-                c = self.text[self.i]
-                if c in "[{":
-                    depth += 1
-                elif c in "]}":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                self.i += 1
-            if depth != 0:
-                self.error(f"'{close}'")
-            inner_txt = self.text[start:self.i]
-            self.i += 1
-            if name == "st":
-                op = st_op(inner_txt) if inner_txt in ("V", "ic", "K") else self.error("V, ic or K")
-            elif name == "spec":
-                op = spec_op(inner_txt)
-            elif name == "apply":
-                op = parse_op(inner_txt)
-            else:
-                wrap = {"ft": ft_op, "bar": bar_op, "tilde": tilde_op, "asc": asc_op, "desc": desc_op}[name]
-                op = wrap(parse_op(inner_txt))
-            self.take("(")
-            arg = self.level_colon()
-            self.take(")")
-            return Func(op, arg)
-        self.error("an atom, generator list, or closure function")
+        if name == "inv":
+            op = "inv"
+        elif name == "apply" or (name in _WRAPPERS and nxt == "["):
+            self.take("[")
+            op = self.op_term()
+            self.take("]")
+            if name != "apply":
+                op = _WRAPPERS[name](op)
+        elif name in _BARE_HEADS or name in _OP_TAGS:
+            self.i = start
+            op = self.op_term()
+        else:
+            raise ParseError(self.text, start, "an atom, generator list, or closure function")
+        self.take("(")
+        arg = self.expr()
+        self.take(")")
+        return Func(op, arg)
 
     # -- generator lists -----------------------------------------------------
 
@@ -352,7 +341,7 @@ class _Parser:
         coeff = None
         self.skip_ws()
         if not self.text.startswith("t(", self.i):
-            coeff = self.coeff_expr()
+            coeff, _ = self.coeff_expr()
             self.skip_ws()
             if self.peek() == "*":
                 self.i += 1
@@ -365,21 +354,23 @@ class _Parser:
         return (self.K.one if coeff is None else coeff, level)
 
     def integer(self):
-        self.skip_ws()
-        start = self.i
-        if self.peek() == "-":
-            self.i += 1
-        while self.i < len(self.text) and self.text[self.i].isdigit():
-            self.i += 1
-        if self.i == start or self.text[start:self.i] == "-":
-            self.error("an integer")
-        return int(self.text[start:self.i])
+        match = _INTEGER.match(self.text, self.i)
+        digits = match.group(1)
+        if digits in ("", "-"):
+            raise ParseError(self.text, match.start(1), "an integer")
+        if len(digits) > MAX_LITERAL_DIGITS:
+            raise ParseError(self.text, match.start(1), f"an integer of at most {MAX_LITERAL_DIGITS} digits")
+        self.i = match.end()
+        return int(digits)
 
     def rational(self):
         num = self.integer()
         if self.peek() == "/":
             self.i += 1
-            return Fraction(num, self.integer())
+            at, den = self.i, self.integer()
+            if den == 0:
+                raise ParseError(self.text, at, "a nonzero denominator")
+            return Fraction(num, den)
         return Fraction(num)
 
     def level_value(self):
@@ -392,35 +383,41 @@ class _Parser:
             return self.integer()
         return self.rational()
 
-    # coefficient arithmetic in the extension field, ordinary precedence
+    # Coefficient arithmetic in the extension field, ordinary precedence.  Each
+    # value comes with its degree in a and the literals, so that the cap on a
+    # power also bounds nested powers such as ((1+a)^9)^9.
     def coeff_expr(self):
-        node = self.coeff_term()
-        while self.peek() in "+-":
+        node, deg = self.coeff_term()
+        while self.peek() in ("+", "-"):
             ch = self.peek()
             self.i += 1
-            rhs = self.coeff_term()
-            node = self.K.add(node, rhs) if ch == "+" else self.K.sub(node, rhs)
-        return node
+            rhs, rdeg = self.coeff_term()
+            node, deg = (self.K.add if ch == "+" else self.K.sub)(node, rhs), max(deg, rdeg)
+        return node, deg
 
     def coeff_term(self):
-        node = self.coeff_factor()
+        node, deg = self.coeff_factor()
         while self.peek() == "*" and not self.text.startswith("*t(", self.i):
             self.i += 1
-            node = self.K.mul(node, self.coeff_factor())
-        return node
+            rhs, rdeg = self.coeff_factor()
+            node, deg = self.K.mul(node, rhs), deg + rdeg
+        return node, deg
 
     def coeff_factor(self):
-        base = self.coeff_atom()
-        if self.peek() == "^":
-            self.i += 1
-            at, n = self.i, self.integer()
-            if n < 0:
-                raise ParseError(self.text, at, "a nonnegative exponent")
-            out = self.K.one
-            for _ in range(n):
-                out = self.K.mul(out, base)
-            return out
-        return base
+        base, deg = self.coeff_atom()
+        if self.peek() != "^":
+            return base, deg
+        self.i += 1
+        at, n = self.i, self.integer()
+        if n < 0:
+            raise ParseError(self.text, at, "a nonnegative exponent")
+        deg *= max(n, 1)
+        if deg > MAX_COEFF_DEGREE:
+            raise ParseError(self.text, at, f"a power of degree at most {MAX_COEFF_DEGREE} in a and the literals")
+        out = self.K.one
+        for _ in range(n):
+            out = self.K.mul(out, base)
+        return out, deg
 
     def coeff_atom(self):
         ch = self.peek()
@@ -431,21 +428,28 @@ class _Parser:
             return node
         if ch == "a":
             self.i += 1
-            return self.K.gen()
+            return self.K.gen(), 1
         if ch == "-" or ch.isdigit():
-            return self.K.embed(self.rational())
+            return self.K.embed(self.rational()), 1
         self.error("a coefficient")
 
 
+def parse_op(text: str) -> SemistarOp:
+    parser = _Parser(text)
+    op = parser.op_term()
+    parser.end("end of operation term")
+    return op
+
+
 def parse_expr(text: str, domain: DomainHandle):
-    return _Parser(text, domain).parse()
+    parser = _Parser(text, domain)
+    node = parser.expr()
+    parser.end("end of expression")
+    return node
 
 
 # ---------------------------------------------------------------------------
 # printing (inverse of the parser up to canonical spelling)
-
-_PRec = {":": 0, "&": 1, "+": 2, "*": 3}
-
 
 def print_expr(node, domain: DomainHandle, _prec=0) -> str:
     if isinstance(node, Atom):
@@ -453,13 +457,10 @@ def print_expr(node, domain: DomainHandle, _prec=0) -> str:
     if isinstance(node, GenIdeal):
         return domain.engine.fmt_gens(node.gens)
     if isinstance(node, Func):
-        if node.op == "inv":
-            head = "inv"
-        else:
-            head = _func_head(node.op)
+        head = "inv" if node.op == "inv" else _func_head(node.op)
         return f"{head}({print_expr(node.arg, domain, 0)})"
     if isinstance(node, Bin):
-        p = _PRec[node.op]
+        p = _OPERATORS.index(node.op)
         lhs = print_expr(node.lhs, domain, p)
         rhs = print_expr(node.rhs, domain, p + 1)
         body = f"{lhs} {node.op} {rhs}"
@@ -468,14 +469,11 @@ def print_expr(node, domain: DomainHandle, _prec=0) -> str:
 
 
 def _func_head(op: SemistarOp) -> str:
-    text = repr(op)
-    if text in ("v", "t", "w"):
+    text = op_to_text(op)
+    if text in _BARE_HEADS or op.kind in _OP_TAGS:
         return text
-    if text.startswith("st[") or text.startswith("spec{"):
-        return text
-    if "(" in text:
-        name, _, rest = text.partition("(")
-        return f"{name}[{rest[:-1]}]"
+    if op.kind in _WRAPPERS:
+        return f"{op.kind}[{op_to_text(op.inner)}]"
     return f"apply[{text}]"
 
 

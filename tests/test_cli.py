@@ -120,7 +120,7 @@ def test_unknown_tag_in_an_expression_is_one_line_and_exit_2(tmp_path, capsys):
     path = _domain_file(tmp_path, "family=numsgr generators=[3,4,5]")
     assert main(["--domain", path, "--expr", "spec{X}(D)"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
 HOSTILE = sorted((pathlib.Path(__file__).parent / "hostile").glob("*.domain"))
@@ -128,13 +128,30 @@ HOSTILE = sorted((pathlib.Path(__file__).parent / "hostile").glob("*.domain"))
 
 @pytest.mark.parametrize("path", HOSTILE, ids=[p.stem for p in HOSTILE])
 def test_hostile_extension_fails_fast_with_exit_2(path, capsys):
-    """A huge constant term over Q, and degrees far above the caps over Q
-    and F_p, each fail with one line and exit code 2 in under a second."""
+    """A huge constant term over Q, a coefficient literal above its cap, and
+    degrees far above the caps over Q and F_p, each fail with one line and
+    exit code 2 in under a second."""
     start = time.perf_counter()
     assert main(["--domain", str(path), "--expr", "D"]) == 2
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith(("parse error: ", "error: ")) and err.count("\n") == 1
+
+
+HOSTILE_EXPRS = sorted((pathlib.Path(__file__).parent / "hostile").glob("*.expr"))
+
+
+@pytest.mark.parametrize("path", HOSTILE_EXPRS, ids=[p.stem for p in HOSTILE_EXPRS])
+def test_hostile_expression_fails_fast_with_exit_2(path, capsys):
+    """Coefficient powers far above the degree cap, plain or nested, fail
+    over tests/hostile/fixed_domain.txt with one line and exit code 2 in
+    under a second."""
+    domain = path.parent / "fixed_domain.txt"
+    start = time.perf_counter()
+    assert main(["--domain", str(domain), "--expr", path.read_text(encoding="utf-8").strip()]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
 def test_huge_irreducible_rational_modulus_is_decided_fast(tmp_path, capsys):

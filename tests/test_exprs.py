@@ -194,6 +194,27 @@ def test_parse_op_rejects_garbage():
         parse_op("st[W]")
 
 
+def _random_op(rng, domain, depth):
+    """An operation term over every atom, tag and wrapper the reader knows,
+    restricted to those that make sense on the domain."""
+    from semistar.operations import (asc_op, bar_op, d_op, desc_op, ft_op, spec_op, st_op,
+                                     t_op, tilde_op, v_op, w_op)
+
+    atoms = [d_op, v_op, t_op, w_op]
+    wrappers = [ft_op, bar_op, tilde_op, desc_op]
+    if domain.family == "numsgr":
+        atoms += [lambda: st_op("ic"), lambda: st_op("K")]
+    else:
+        atoms += [lambda: st_op("V"), lambda: st_op("K")]
+        if domain.payload_group.kind == "ZxZ":
+            atoms += [lambda: spec_op("M"), lambda: spec_op("P1")]
+    if domain.family == "valuation":
+        wrappers.append(asc_op)
+    if depth <= 0 or rng.random() < 0.4:
+        return rng.choice(atoms)()
+    return rng.choice(wrappers)(_random_op(rng, domain, depth - 1))
+
+
 def _random_ast(rng, domain, depth):
     from fractions import Fraction
 
@@ -224,37 +245,68 @@ def _random_ast(rng, domain, depth):
     if roll < 0.45:
         op = rng.choice(["+", "*", "&", ":"])
         return Bin(op, _random_ast(rng, domain, depth - 1), _random_ast(rng, domain, depth - 1))
-    heads = ["v", "t", "w", "inv", "st[V]", "bar[v]", "tilde[v]", "apply[desc(d)]"]
-    if domain.family == "numsgr":
-        heads = ["v", "t", "w", "inv", "st[ic]", "bar[v]", "tilde[v]"]
-    head = rng.choice(heads)
     arg = _random_ast(rng, domain, depth - 1)
-    if head == "inv":
-        return Func("inv", arg)
-    if head.startswith("st["):
-        from semistar.operations import st_op
-
-        return Func(st_op(head[3:-1]), arg)
-    if "[" in head:
-        name, _, rest = head.partition("[")
-        inner = parse_op(rest[:-1])
-        from semistar.operations import bar_op, desc_op, tilde_op
-
-        wrap = {"bar": bar_op, "tilde": tilde_op, "apply": lambda x: x, "desc": desc_op}[name]
-        return Func(wrap(inner) if name != "apply" else inner, arg)
-    return Func(parse_op(head), arg)
+    return Func("inv" if roll > 0.9 else _random_op(rng, domain, 2), arg)
 
 
 def test_fuzzed_print_parse_round_trip():
+    """Seeded from a digest of the domain text, so a failing case replays."""
     import random
+    import zlib
+
+    from semistar.exprs import Atom, Func
 
     for domain_text in (NUMSGR_TEXT, PULLBACK_Q, PULLBACK_Z, VAL_Q, VAL_LEX):
         domain = parse_domain(domain_text)
-        rng = random.Random(hash(domain_text) % 100000)
+        rng = random.Random(zlib.crc32(domain_text.encode()))
         for _ in range(80):
             ast = _random_ast(rng, domain, 3)
             printed = print_expr(ast, domain)
             assert parse_expr(printed, domain) == ast, printed
+            op = _random_op(rng, domain, 3)  # any term also reads as an apply[...] head
+            assert parse_expr(f"apply[{op!r}](D)", domain) == Func(op, Atom("D")), op
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("v(ft[q](M))", 5),
+    ("apply[ft(v](M)", 10),
+    ("v(st[W](M))", 5),
+    ("spec{X}(D)", 5),
+])
+def test_operation_term_errors_point_into_the_typed_text(text, pos):
+    with pytest.raises(ParseError) as exc:
+        parse_expr(text, parse_domain(NUMSGR_TEXT))
+    assert exc.value.pos == pos
+
+
+def test_operation_terms_allow_white_space_between_tokens():
+    assert parse_op("ft( v)") == parse_op("t")
+    ns = parse_domain(NUMSGR_TEXT)
+    assert parse_expr("apply[ d ](M)", ns) == parse_expr("apply[d](M)", ns)
+
+
+@pytest.mark.parametrize("text, pos, expected", [
+    ("<a^257*t(0)>", 3, "at most 256"),
+    ("<a^100000*t(0)>", 3, "at most 256"),
+    ("<((1+a)^16)^17*t(0)>", 12, "at most 256"),  # nested powers multiply degrees
+    ("<(a^0)^1000000*t(0)>", 7, "at most 256"),
+    ("<(a*a)^129*t(0)>", 7, "at most 256"),
+    ("<" + "7" * 101 + "*t(0)>", 1, "at most 100 digits"),
+    ("<" + "7" * 5000 + "*t(0)>", 1, "at most 100 digits"),  # past int()'s own digit limit
+    ("<1/0*t(0)>", 3, "nonzero denominator"),
+    ("<1*t(\u00b2)>", 5, "an integer"),  # a digit to str.isdigit, not to int()
+])
+def test_hostile_coefficients_are_positioned_parse_errors(text, pos, expected):
+    domain = parse_domain(PULLBACK_Z)
+    with pytest.raises(ParseError) as exc:
+        parse_expr(text, domain)
+    assert exc.value.pos == pos and expected in str(exc.value)
+
+
+def test_largest_accepted_power_evaluates():
+    domain = parse_domain(PULLBACK_Z)
+    assert handle_eq(eval_expr(parse_expr("<a^256*t(0)>", domain), domain),
+                     eval_expr(parse_expr("<2^128*t(0)>", domain), domain))
 
 
 @pytest.mark.parametrize("text, pos", [
@@ -263,6 +315,8 @@ def test_fuzzed_print_parse_round_trip():
     ("family=pullback extension=a^q group=Z", 26),
     ("family=pullback extension=b^2-2 group=Z", 26),
     ("family=numsgr family=numsgr", 14),  # the repeated key, not its first spelling
+    ("family=pullback extension=a^3-1e101*a+3 group=Z", 26),  # coefficient literal cap
+    ("family=pullback extension=a^3-1e9_999_999*a+3 group=Z", 26),
 ])
 def test_parse_domain_malformed_numbers_give_a_positioned_parse_error(text, pos):
     with pytest.raises(ParseError) as exc:
