@@ -317,9 +317,16 @@ def _coherent_pair_witness(domain, op, e, f, pool) -> "Verdict":
     """Existence of fg J with J^op = e^op meet f^op, decided per pair.  The
     candidates are e, f, the meet and the pool, tried in that (seed) order;
     the search stops at the first witness, as a full draw would."""
-    x = handle_intersect(apply(op, e), apply(op, f))
-    head = ((j, apply(op, j)) for j in (e, f, x) if j.finitely_generated)
-    for j, image in itertools.chain(head, copy.copy(pool)):
+    e_image, f_image = apply(op, e), apply(op, f)
+    x = handle_intersect(e_image, f_image)
+
+    def candidates():
+        yield from ((j, image) for j, image in ((e, e_image), (f, f_image)) if j.finitely_generated)
+        if x.finitely_generated:
+            yield x, apply(op, x)  # closed only once e and f have failed
+        yield from copy.copy(pool)
+
+    for j, image in candidates():
         if handle_eq(image, x):
             return holds("witness-found", detail=repr(j))
     if _envelope_fixed(op, domain) and _no_min_support(x):

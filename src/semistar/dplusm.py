@@ -2,10 +2,11 @@
 
 Fractional D-submodules of the quotient field are leveled modules: the set
 of elements whose coefficient at each value-group level lies in a prescribed
-k-subspace of K.  Being a D-module forces the shape "one proper jump at the
-minimal level, full K strictly above it" or "a plain segment of full-K
-levels", which is exactly what the canonical form stores.  Elements exist
-only as finite leading-term expansions inside the test oracles.
+k-subspace of K.  Being a D-module forces either a V-ideal a V (full K at
+every level) or x (W + M) for a k-subspace W of K (Bastida and Gilmer,
+Michigan Math. J. 20, 1973), so a module is stored as its hull a V and the
+space W at the hull's minimum.  Elements exist only as finite leading-term
+expansions inside the test oracles.
 """
 
 from __future__ import annotations
@@ -73,23 +74,22 @@ class PullbackDomain:
 
 @dataclass(frozen=True)
 class LeveledModule:
-    """Canonical leveled module: at most one proper jump, then a full tail."""
+    """A D-module stored as its hull a V (a segment) and, when the module has a
+    proper jump, the k-subspace of K at the hull's minimum; K sits at every
+    other level of the hull.  `space` is None exactly when there is no proper
+    jump, so structural equality is semantic equality."""
 
     domain: PullbackDomain
-    jumps: tuple  # () or ((level, Subspace),)
-    tail: Segment
-
-    def jump(self):
-        return self.jumps[0] if self.jumps else None
+    hull: Segment
+    space: "Subspace | None" = None
 
     def __repr__(self):
-        K = self.domain.residue_ext
-        parts = []
-        for g, w in self.jumps:
-            basis = "{" + ",".join(K.fmt(r) for r in w.rows) + "}"
-            parts.append(f"{basis}@{self.domain.group.fmt(g)}")
-        parts.append(f"K@{self.tail.fmt()}")
-        return "mod[" + " | ".join(parts) + "]"
+        if self.space is None:
+            return f"mod[K@{self.hull.fmt()}]"
+        group = self.domain.group
+        c = self.hull.cut
+        basis = "{" + ",".join(self.domain.residue_ext.fmt(r) for r in self.space.rows) + "}"
+        return f"mod[{basis}@{group.fmt(c)} | K@{Segment.open(group, c).fmt()}]"
 
 
 def _check_domain(a: LeveledModule, b: LeveledModule):
@@ -97,40 +97,38 @@ def _check_domain(a: LeveledModule, b: LeveledModule):
         raise AlgebraError("modules over different pullback domains")
 
 
-def canonical(domain: PullbackDomain, jumps, tail: Segment) -> LeveledModule:
-    """Normalize to the unique canonical shape, rejecting non-D-modules."""
-    group = domain.group
-    if tail.group != group:
-        raise AlgebraError("tail over the wrong value group")
-    kept = []
-    for g, w in jumps:
-        g = group.coerce(g)
-        if w.is_zero() or tail.contains(g):
-            continue
-        kept.append((g, w))
-    if len(kept) > 1:
-        raise AlgebraError("a D-module admits at most one proper jump level")
-    if not kept:
-        if tail.is_empty():
-            raise AlgebraError("zero module is not representable")
-        return LeveledModule(domain, (), tail)
-    g, w = kept[0]
-    above = Segment.open(group, g)
-    if not tail.eq(above):
-        raise AlgebraError("jump must sit directly under a full tail")
-    if w.is_full():
-        return LeveledModule(domain, (), Segment.closed(group, g))
-    return LeveledModule(domain, ((g, w),), above)
+def make_module(domain: PullbackDomain, hull: Segment, space: "Subspace | None" = None) -> LeveledModule:
+    """The module with this hull and this space at the hull's minimum (None:
+    all of K).  A full space is no jump; a zero space leaves the open hull
+    above the minimum."""
+    if hull.group != domain.group:
+        raise AlgebraError("hull over the wrong value group")
+    if hull.is_empty():
+        raise AlgebraError("zero module is not representable")
+    if space is None or space.is_full():
+        return LeveledModule(domain, hull)
+    if space.is_zero():
+        return LeveledModule(domain, Segment.open(domain.group, hull.cut))
+    return LeveledModule(domain, hull, space)
 
 
 def space_at(m: LeveledModule, g) -> Subspace:
     K = m.domain.residue_ext
-    if m.tail.contains(g):
-        return Subspace.full(K)
-    j = m.jump()
-    if j is not None and j[0] == m.domain.group.coerce(g):
-        return j[1]
-    return Subspace.zero(K)
+    if not m.hull.contains(g):
+        return Subspace.zero(K)
+    if m.space is not None and m.hull.cut == m.domain.group.coerce(g):
+        return m.space
+    return Subspace.full(K)
+
+
+def module_hull(m: LeveledModule) -> Segment:
+    """m V, as a segment of the value group."""
+    return m.hull
+
+
+def full_segment(m: LeveledModule) -> "Segment | None":
+    """The levels of m when m holds all of K at each of them, else None."""
+    return m.hull if m.space is None else None
 
 
 # -- constructors -----------------------------------------------------------
@@ -149,7 +147,7 @@ def module_from_generators(domain: PullbackDomain, gens) -> LeveledModule:
         coerced.append((c, group.coerce(g)))
     g0 = min(g for _, g in coerced)
     w = Subspace.span(K, [c for c, g in coerced if g == g0])
-    return canonical(domain, [(g0, w)], Segment.open(group, g0))
+    return make_module(domain, Segment.closed(group, g0), w)
 
 
 def unit_module(domain: PullbackDomain) -> LeveledModule:
@@ -157,25 +155,24 @@ def unit_module(domain: PullbackDomain) -> LeveledModule:
 
 
 def maximal_module(domain: PullbackDomain) -> LeveledModule:
-    return canonical(domain, (), Segment.open(domain.group, domain.group.zero))
+    return LeveledModule(domain, Segment.open(domain.group, domain.group.zero))
 
 
 def whole_module(domain: PullbackDomain) -> LeveledModule:
     """The quotient field as a D-module."""
-    return LeveledModule(domain, (), Segment.whole(domain.group))
+    return LeveledModule(domain, Segment.whole(domain.group))
 
 
 # -- lattice and arithmetic ---------------------------------------------------
 
 def module_leq(a: LeveledModule, b: LeveledModule) -> bool:
     _check_domain(a, b)
-    if not a.tail.leq(b.tail):
+    if not a.hull.leq(b.hull):
         return False
-    j = a.jump()
-    if j is None:
+    # only b's minimum can hold less than K, and a reaches it only with the same hull
+    if b.space is None or a.hull != b.hull:
         return True
-    g, w = j
-    return w.leq(space_at(b, g))
+    return a.space is not None and a.space.leq(b.space)
 
 
 def module_eq(a: LeveledModule, b: LeveledModule) -> bool:
@@ -183,104 +180,66 @@ def module_eq(a: LeveledModule, b: LeveledModule) -> bool:
     return a == b  # canonical form makes structural equality semantic
 
 
+def _space_at_minimum(combine, a: LeveledModule, b: LeveledModule, hull: Segment):
+    """combine of the spaces of a and b at the minimum of hull, the hull of a
+    sum or a meet; None (all of K) when neither has a jump or hull has no
+    minimum, since every other level of hull is full in both."""
+    c = hull.minimum()
+    if c is None or (a.space is None and b.space is None):
+        return None
+    return combine(space_at(a, c), space_at(b, c))
+
+
 def module_sum(a: LeveledModule, b: LeveledModule) -> LeveledModule:
     _check_domain(a, b)
-    tail = segment_union(a.tail, b.tail)
-    levels = {}
-    for m in (a, b):
-        j = m.jump()
-        if j is not None and not tail.contains(j[0]):
-            levels.setdefault(j[0], []).append(j[1])
-    jumps = []
-    for g, spaces in levels.items():
-        w = spaces[0]
-        for extra in spaces[1:]:
-            w = subspace_sum(w, extra)
-        w = subspace_sum(w, space_at(a, g))
-        w = subspace_sum(w, space_at(b, g))
-        jumps.append((g, w))
-    return canonical(a.domain, jumps, tail)
+    hull = segment_union(a.hull, b.hull)
+    return make_module(a.domain, hull, _space_at_minimum(subspace_sum, a, b, hull))
 
 
 def module_intersect(a: LeveledModule, b: LeveledModule) -> LeveledModule:
     _check_domain(a, b)
-    tail = segment_intersect(a.tail, b.tail)
-    jumps = []
-    for m in (a, b):
-        j = m.jump()
-        if j is not None and not tail.contains(j[0]):
-            g = j[0]
-            w = subspace_intersect(space_at(a, g), space_at(b, g))
-            jumps.append((g, w))
-    # duplicate candidate levels collapse to the same space
-    seen = {}
-    for g, w in jumps:
-        seen[g] = w
-    return canonical(a.domain, list(seen.items()), tail)
-
-
-def _hull(m: LeveledModule) -> Segment:
-    j = m.jump()
-    if j is None:
-        return m.tail
-    return Segment.closed(m.domain.group, j[0])
+    hull = segment_intersect(a.hull, b.hull)
+    return make_module(a.domain, hull, _space_at_minimum(subspace_intersect, a, b, hull))
 
 
 def module_mul(a: LeveledModule, b: LeveledModule) -> LeveledModule:
     _check_domain(a, b)
-    ja, jb = a.jump(), b.jump()
-    if ja is not None and jb is not None:
-        g = a.domain.group.add(ja[0], jb[0])
-        w = subspace_product(ja[1], jb[1])
-        return canonical(a.domain, [(g, w)], Segment.open(a.domain.group, g))
-    return canonical(a.domain, (), segment_add(_hull(a), _hull(b)))
+    hull = segment_add(a.hull, b.hull)
+    if a.space is None or b.space is None:
+        return LeveledModule(a.domain, hull)  # a nonzero space times K is K
+    return make_module(a.domain, hull, subspace_product(a.space, b.space))
 
 
 def module_scale(a: LeveledModule, coeff, level) -> LeveledModule:
     """Multiply by the monomial coeff * t^level (axiom (x E)^star = x E^star)."""
-    K = a.domain.residue_ext
-    group = a.domain.group
-    if K.is_zero(coeff):
+    if a.domain.residue_ext.is_zero(coeff):
         raise AlgebraError("scaling by zero")
-    level = group.coerce(level)
-    tail = segment_shift(a.tail, level)
-    j = a.jump()
-    jumps = []
-    if j is not None:
-        jumps.append((group.add(j[0], level), subspace_scale(coeff, j[1])))
-    return canonical(a.domain, jumps, tail)
+    hull = segment_shift(a.hull, a.domain.group.coerce(level))
+    return LeveledModule(a.domain, hull, None if a.space is None else subspace_scale(coeff, a.space))
 
 
 def module_colon(a: LeveledModule, b: LeveledModule) -> LeveledModule:
-    """{z : z * b inside a}, computed from the finitely many critical levels."""
+    """{z : z * b inside a}: by b's hull when b has no jump, else a shifted
+    down by b's jump level, with a's space transported by b's."""
     _check_domain(a, b)
     group = a.domain.group
-    jb = b.jump()
-    if jb is None:
-        t0 = segment_colon(a.tail, b.tail)
-        if t0.is_empty():
+    if b.space is None:
+        full = a.hull if a.space is None else Segment.open(group, a.hull.cut)
+        quot = segment_colon(full, b.hull)
+        if quot.is_empty():
             raise AlgebraError("colon collapses to the zero module")
-        return canonical(a.domain, (), t0)
-    gb, u = jb
-    tail = segment_shift(a.tail, group.neg(gb))
-    ja = a.jump()
-    jumps = []
-    if ja is not None:
-        h = group.sub(ja[0], gb)
-        jumps.append((h, transporter(ja[1], u)))
-    return canonical(a.domain, jumps, tail)
+        return LeveledModule(a.domain, quot)
+    hull = segment_shift(a.hull, group.neg(b.hull.cut))
+    return make_module(a.domain, hull, None if a.space is None else transporter(a.space, b.space))
 
 
 def extend_to_V(a: LeveledModule) -> LeveledModule:
-    """a * V: clear the jump down to a closed full tail at its level."""
-    j = a.jump()
-    if j is None:
-        return a
-    return canonical(a.domain, (), Segment.closed(a.domain.group, j[0]))
+    """a * V: the hull, with all of K at every level."""
+    return a if a.space is None else LeveledModule(a.domain, a.hull)
 
 
-def v_closure_pullback(a: LeveledModule) -> LeveledModule:
-    d = unit_module(a.domain)
+def v_closure_pullback(a: LeveledModule, d: LeveledModule) -> LeveledModule:
+    """(D : (D : a)), D the unit module of a's domain."""
     return module_colon(d, module_colon(d, a))
 
 
@@ -288,16 +247,12 @@ def v_closure_pullback(a: LeveledModule) -> LeveledModule:
 
 def fg_witness(a: LeveledModule):
     """A generator list regenerating a, or None when a is not finitely
-    generated (open tail with no jump over a dense group, or the whole field)."""
-    K = a.domain.residue_ext
-    j = a.jump()
-    if j is not None:
-        g, w = j
-        return tuple((row, g) for row in w.rows)
-    c = a.tail.minimum()
-    if c is not None:
-        return tuple((row, c) for row in K.basis)
-    return None
+    generated (open hull over a dense group, or the whole field)."""
+    c = a.hull.minimum()
+    if c is None:
+        return None
+    rows = a.domain.residue_ext.basis if a.space is None else a.space.rows
+    return tuple((row, c) for row in rows)
 
 
 def localize_at(seg: Segment) -> Segment:

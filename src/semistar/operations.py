@@ -610,6 +610,10 @@ class _PullbackEngine:
         self.pd = pd
         self.group = pd.group
 
+    @cached_property
+    def _unit(self):
+        return dplusm.unit_module(self.pd)
+
     @property
     def spectrum_decidable(self) -> bool:
         return self.group.kind != "ZxZ"  # P1 inside M is a second nonzero prime of k + M
@@ -624,7 +628,7 @@ class _PullbackEngine:
         return self.pd.residue_ext
 
     def unit(self):
-        return dplusm.unit_module(self.pd)
+        return self._unit
 
     def maximal(self):
         return dplusm.maximal_module(self.pd)
@@ -642,7 +646,7 @@ class _PullbackEngine:
         return dplusm.module_colon(a, b)
 
     def v(self, a):
-        return dplusm.v_closure_pullback(a)
+        return dplusm.v_closure_pullback(a, self._unit)
 
     def extend(self, tag, a):
         return dplusm.extend_to_V(a) if tag in ("V", "ic") else self.whole()
@@ -651,7 +655,7 @@ class _PullbackEngine:
         return dplusm.whole_module(self.pd)
 
     def is_whole(self, a) -> bool:
-        return a.tail.is_whole()
+        return dplusm.module_hull(a).is_whole()
 
     def leq(self, a, b):
         return dplusm.module_leq(a, b)
@@ -688,7 +692,7 @@ class _PullbackEngine:
                 gens.append((K.rand_nonzero(rng, 4), level))
             return dplusm.module_from_generators(self.pd, gens)
         shape = "closed" if (roll < 0.8 or self.group.discrete) else "open"
-        return dplusm.canonical(self.pd, (), Segment.make(self.group, shape, level))
+        return self.from_tail(Segment.make(self.group, shape, level))
 
     def sample_fg_ideal(self, rng, spec, integral=False):
         for _ in range(SAMPLE_ATTEMPTS):
@@ -719,9 +723,10 @@ class _PullbackEngine:
         return DomainHandle("valuation", self.pd.valuation, name=f"{dom.name}^V")
 
     def to_overring(self, e, over):
-        if e.payload.jumps:
+        seg = dplusm.full_segment(e.payload)
+        if seg is None:
             raise UnsupportedOperation("not an ideal of the overring")
-        return make_handle(over, e.payload.tail)
+        return make_handle(over, seg)
 
     def from_overring(self, dom, h):
         return make_handle(dom, self.from_tail(h.payload))
@@ -730,15 +735,16 @@ class _PullbackEngine:
     localize = _incomparable  # reached only by comparing handles of two domains
 
     def tail(self, a):
-        if a.jumps:
+        seg = dplusm.full_segment(a)
+        if seg is None:
             raise ConsistencyError("finitely generated module slipped past the shortcut")
-        return a.tail
+        return seg
 
     def hull(self, a):
-        return dplusm._hull(a)
+        return dplusm.module_hull(a)
 
     def from_tail(self, seg):
-        return dplusm.canonical(self.pd, (), seg)
+        return dplusm.make_module(self.pd, seg)
 
     fmt_gens = _fmt_monomials
     fmt = _fmt_segment_payload

@@ -21,7 +21,7 @@ from semistar.algebra import AlgebraError, Segment
 from semistar.algebra.linalg import Subspace
 from semistar.algebra.fields import SAMPLE_ATTEMPTS, common_denominator, poly_divmod, poly_trim
 from semistar.classify import _induced_by_valuation_overring, probe_ideals
-from semistar.dplusm import LeveledModule, PullbackDomain, canonical
+from semistar.dplusm import LeveledModule, PullbackDomain, make_module
 from semistar.numsgr import NumericalSemigroup
 from semistar.operations import IdealHandle, LocalizingSystemView, apply, handle_leq, handle_mul, make_handle
 from semistar.verdict import holds, refuted, unknown
@@ -58,7 +58,7 @@ def exp_mul(domain, x, y):
 
 def overring_module(domain: PullbackDomain) -> LeveledModule:
     """V itself, as a D-module."""
-    return canonical(domain, (), Segment.closed(domain.group, domain.group.zero))
+    return make_module(domain, Segment.closed(domain.group, domain.group.zero))
 
 
 def scalar_mul(K, c, x):
@@ -98,12 +98,21 @@ def random_domain_element(domain: PullbackDomain, rng, terms=3, window=4):
     return exp_normalize(domain, [(c, g) for c, g in out])
 
 
+def jump_and_tail(m: LeveledModule):
+    """The proper jump (level, space) of m, or None, and the segment of levels
+    where m holds all of K."""
+    hull = dplusm.module_hull(m)
+    if dplusm.full_segment(m) is not None:
+        return None, hull
+    return (hull.cut, dplusm.space_at(m, hull.cut)), Segment.open(m.domain.group, hull.cut)
+
+
 def random_module_element(m: LeveledModule, rng, terms=3, window=4):
     """A random member of m, built from monomials the module provably holds."""
     K = m.domain.residue_ext
     group = m.domain.group
     picks = []
-    j = m.jump()
+    j, tail = jump_and_tail(m)
     if j is not None and rng.random() < 0.7:
         g, w = j
         c = K.zero
@@ -113,12 +122,12 @@ def random_module_element(m: LeveledModule, rng, terms=3, window=4):
             picks.append((c, g))
     cut_probe = 0
     while len(picks) < 1 + rng.randint(0, terms):
-        if m.tail.is_whole():
+        if tail.is_whole():
             g = group.rand(rng, window)
-        elif m.tail.minimum() is not None:
-            g = group.add(m.tail.cut, _small_nonneg(group, rng, window))
+        elif tail.minimum() is not None:
+            g = group.add(tail.cut, _small_nonneg(group, rng, window))
         else:
-            g = group.add(m.tail.cut, _small_positive(group, rng, window))
+            g = group.add(tail.cut, _small_positive(group, rng, window))
         picks.append((K.rand_nonzero(rng, 4), g))
         cut_probe += 1
         if cut_probe > 20:

@@ -170,6 +170,29 @@ def test_coherence_318(dom_318):
     assert quasi.is_refuted and "cut-parity" in quasi.detail
 
 
+def test_coherent_pair_closes_each_member_once(monkeypatch, K_quad):
+    """The landmark pair t D, (a t) D under st[V]: both images are t V, so e
+    is its own witness and the search closes e and f once each."""
+    from semistar import classify
+    from semistar.operations import pullback_domain
+
+    dom = pullback_domain(K_quad, "Q", "p318-pair-once")
+    st = st_op("V")
+    e, f = classify.landmark_pairs(dom)[0]
+    pool = classify._coherent_pool(dom, st, SPEC)
+    closed = []
+    original = classify.apply
+
+    def counted(op, j):
+        closed.append(j)
+        return original(op, j)
+
+    monkeypatch.setattr(classify, "apply", counted)
+    verdict = classify._coherent_pair_witness(dom, st, e, f, pool)
+    assert verdict.is_holds and verdict.detail == repr(e)
+    assert closed == [e, f]
+
+
 def test_coherence_valuation(dom_vq):
     for kind in (EXTRACOHERENT, COHERENT, TRULY_COHERENT, QUASI_COHERENT):
         assert coherence_check(dom_vq, kind, v_op(), SPEC).is_holds

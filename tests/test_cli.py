@@ -128,8 +128,9 @@ HOSTILE = sorted((pathlib.Path(__file__).parent / "hostile").glob("*.domain"))
 
 @pytest.mark.parametrize("path", HOSTILE, ids=[p.stem for p in HOSTILE])
 def test_hostile_extension_fails_fast_with_exit_2(path, capsys):
-    """A huge constant term over Q, a coefficient literal above its cap, and
-    degrees far above the caps over Q and F_p, each fail with one line and
+    """A huge constant term over Q, a coefficient literal above its cap,
+    degrees far above the caps over Q and F_p, and numerical semigroups
+    whose Frobenius number is above its cap, each fail with one line and
     exit code 2 in under a second."""
     start = time.perf_counter()
     assert main(["--domain", str(path), "--expr", "D"]) == 2

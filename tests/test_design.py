@@ -1,13 +1,16 @@
 """Design guards: the family string is read in two places only, the three
-ideal engines answer to the same names, and only the groups module knows
-how a segment is stored."""
+ideal engines answer to the same names, only the groups module knows how a
+segment is stored, and only the dplusm module knows how a leveled module is
+stored."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import pathlib
 
 from semistar import operations
+from semistar.dplusm import LeveledModule
 
 SRC = pathlib.Path(operations.__file__).parent
 
@@ -104,5 +107,35 @@ def test_only_the_groups_module_reads_the_segment_key():
         f"{path.relative_to(SRC)}:{line}"
         for path in sorted(SRC.rglob("*.py")) if path != groups
         for line in _segment_key_uses(path.read_text(encoding="utf-8"))
+    ]
+    assert stray == []
+
+
+# every handle has a domain too, and reading it says nothing of the format
+MODULE_FIELDS = frozenset(f.name for f in dataclasses.fields(LeveledModule)) - {"domain"}
+
+
+def _module_field_reads(source: str):
+    """Lines that read an attribute named after a stored LeveledModule field;
+    calling a method of that name (the engines' `hull`) is no read."""
+    tree = ast.parse(source)
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in MODULE_FIELDS and id(node) not in called
+    )
+
+
+def test_the_guard_sees_a_module_field_read():
+    planted = "def f(m, eng):\n    if m.space is None:\n        return eng.hull(m)\n    return m.hull.cut\n"
+    assert _module_field_reads(planted) == [2, 4]
+
+
+def test_only_the_dplusm_module_reads_a_leveled_module_field():
+    dplusm = SRC / "dplusm.py"
+    stray = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py")) if path != dplusm
+        for line in _module_field_reads(path.read_text(encoding="utf-8"))
     ]
     assert stray == []

@@ -11,10 +11,10 @@ from semistar.algebra import AlgebraError, Segment, Subspace, ValueGroup
 from semistar.dplusm import (
     PullbackDomain,
     ValuationDomain,
-    canonical,
     extend_to_V,
     fg_witness,
     localize_at,
+    make_module,
     maximal_module,
     module_colon,
     module_eq,
@@ -29,7 +29,16 @@ from semistar.dplusm import (
     v_closure_pullback,
     whole_module,
 )
-from oracles import contains_vector, exp_add, overring_module, exp_member, exp_mul, random_domain_element, random_module_element
+from oracles import (
+    contains_vector,
+    exp_add,
+    exp_member,
+    exp_mul,
+    jump_and_tail,
+    overring_module,
+    random_domain_element,
+    random_module_element,
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,12 +54,11 @@ def pd_z(K_quad):
 def test_generator_module_shapes(pd_q, K_quad):
     one, a = K_quad.one, K_quad.gen()
     md = module_from_generators(pd_q, [(one, 1)])
-    assert md.jumps and md.jumps[0][0] == 1 and md.jumps[0][1].dim == 1
-    assert md.tail == Segment.open(pd_q.group, 1)
+    assert md.hull == Segment.closed(pd_q.group, 1) and md.space.dim == 1
     d = module_from_generators(pd_q, [(one, 0)])
     assert module_eq(d, unit_module(pd_q))
     mv = module_from_generators(pd_q, [(one, 1), (a, 1)])
-    assert not mv.jumps and mv.tail == Segment.closed(pd_q.group, 1)
+    assert mv.space is None and mv.hull == Segment.closed(pd_q.group, 1)
     with pytest.raises(AlgebraError):
         module_from_generators(pd_q, [(K_quad.zero, 1)])
     with pytest.raises(AlgebraError):
@@ -62,7 +70,7 @@ def test_intersection_of_twisted_principals(pd_q, K_quad):
     md = module_from_generators(pd_q, [(one, 1)])
     mxd = module_from_generators(pd_q, [(a, 1)])
     meet = module_intersect(md, mxd)
-    assert not meet.jumps and meet.tail == Segment.open(pd_q.group, 1)
+    assert meet.space is None and meet.hull == Segment.open(pd_q.group, 1)
     m = maximal_module(pd_q)
     assert module_eq(meet, module_scale(m, one, 1))
     d = unit_module(pd_q)
@@ -84,7 +92,7 @@ def test_random_twisted_intersections(pd_q, K_quad):
         md = module_from_generators(pd_q, [(c, g)])
         mxd = module_from_generators(pd_q, [(K_quad.mul(c, x), g)])
         meet = module_intersect(md, mxd)
-        expected = canonical(pd_q, (), Segment.open(group, g))
+        expected = make_module(pd_q, Segment.open(group, g))
         assert module_eq(meet, expected)
 
 
@@ -95,7 +103,7 @@ def test_products_and_extension(pd_q, K_quad):
     md = module_from_generators(pd_q, [(one, 1)])
     m2d = module_from_generators(pd_q, [(one, 2)])
     assert module_eq(module_mul(md, m2d), module_from_generators(pd_q, [(one, 3)]))
-    assert extend_to_V(md).tail == Segment.closed(pd_q.group, 1)
+    assert extend_to_V(md).hull == Segment.closed(pd_q.group, 1)
     mm = module_intersect(md, module_from_generators(pd_q, [(a, 1)]))
     assert module_eq(extend_to_V(mm), mm)  # M V = M fixes the open tail
     v = overring_module(pd_q)
@@ -122,9 +130,8 @@ def test_colon_examples(pd_q, pd_z, K_quad):
         md = module_from_generators(pd, [(one, 1)])
         inv = module_colon(d, md)
         assert module_eq(module_mul(inv, md), d)
-        assert module_eq(v_closure_pullback(d), d)
-    assert module_eq(v_closure_pullback(maximal_module(pd_z)), maximal_module(pd_z))
-    assert module_eq(v_closure_pullback(maximal_module(pd_q)), maximal_module(pd_q))
+        assert module_eq(v_closure_pullback(d, d), d)
+        assert module_eq(v_closure_pullback(m, d), m)
 
 
 def test_pvd_maximal_is_finitely_generated(pd_z, K_quad):
@@ -153,13 +160,14 @@ def test_fg_witnesses(pd_q, K_quad):
 
 def test_canonical_rejects_bad_shapes(pd_q, K_quad):
     group = pd_q.group
+    with pytest.raises(AlgebraError):
+        make_module(pd_q, Segment.empty(group))  # zero module
+    with pytest.raises(AlgebraError):
+        make_module(pd_q, Segment.closed(ValueGroup("Z"), 0))  # hull over another group
     w = Subspace.span(K_quad, [K_quad.one])
-    with pytest.raises(AlgebraError):
-        canonical(pd_q, ((0, w),), Segment.closed(group, 5))  # gap above the jump
-    with pytest.raises(AlgebraError):
-        canonical(pd_q, ((0, w), (1, w)), Segment.open(group, 1))  # two jumps
-    with pytest.raises(AlgebraError):
-        canonical(pd_q, (), Segment.empty(group))  # zero module
+    assert make_module(pd_q, Segment.closed(group, 0), Subspace.full(K_quad)).space is None
+    assert make_module(pd_q, Segment.closed(group, 0), Subspace.zero(K_quad)) == maximal_module(pd_q)
+    assert make_module(pd_q, Segment.closed(group, 0), w) == unit_module(pd_q)
 
 
 def test_membership_oracle_on_generated_modules(pd_q, K_quad):
@@ -180,7 +188,7 @@ def test_membership_oracle_on_generated_modules(pd_q, K_quad):
             assert exp_member(mod, acc)
             checked += 1
         # an element whose leading coefficient escapes the jump space
-        j = mod.jump()
+        j, _ = jump_and_tail(mod)
         if j is not None and j[1].dim < K_quad.degree:
             g0, w = j
             bad = K_quad.rand_nonzero(rng, 3)
@@ -199,7 +207,7 @@ def test_membership_of_sampled_module_elements(pd_q):
             eng_samples.append(module_from_generators(pd_q, gens))
         else:
             shape = "closed" if kind < 0.75 else "open"
-            eng_samples.append(canonical(pd_q, (), Segment.make(pd_q.group, shape, pd_q.group.rand(rng, 4))))
+            eng_samples.append(make_module(pd_q, Segment.make(pd_q.group, shape, pd_q.group.rand(rng, 4))))
     for mod in eng_samples:
         for _ in range(5):
             elt = random_module_element(mod, rng)
@@ -215,7 +223,7 @@ def test_colon_against_multiplication_oracle(pd_q):
     for _ in range(40):
         a = module_from_generators(pd_q, [(K.rand_nonzero(rng, 3), group.rand(rng, 3))])
         if rng.random() < 0.5:
-            a = canonical(pd_q, (), Segment.make(group, rng.choice(["open", "closed"]), group.rand(rng, 3)))
+            a = make_module(pd_q, Segment.make(group, rng.choice(["open", "closed"]), group.rand(rng, 3)))
         b = module_from_generators(pd_q, [(K.rand_nonzero(rng, 3), group.rand(rng, 3))])
         quot = module_colon(a, b)
         for _ in range(6):
@@ -229,11 +237,11 @@ def test_colon_against_multiplication_oracle(pd_q):
                 assert products_in
             else:
                 # a point outside the colon must fail against some b-monomial
-                j = b.jump()
+                j, tail = jump_and_tail(b)
                 witnesses = []
                 if j is not None:
                     witnesses.append(((j[0], j[1].rows[0]),))
-                cut = b.tail.cut
+                cut = tail.cut
                 step = Fraction(1, 7)
                 witnesses.append(((group.add(cut, step), K.one),))
                 assert any(
@@ -250,13 +258,13 @@ def test_degree_one_pullback_matches_segments(K_triv):
     rng = random.Random(8)
     group = pd.group
     segs = [Segment.make(group, rng.choice(["open", "closed"]), group.rand(rng, 4)) for _ in range(20)]
-    mods = [canonical(pd, (), s) for s in segs]
+    mods = [make_module(pd, s) for s in segs]
     for s, ms in zip(segs, mods):
         for t, mt in zip(segs, mods):
-            assert module_sum(ms, mt).tail == segment_union(s, t)
-            assert module_mul(ms, mt).tail == segment_add(s, t)
-            assert module_intersect(ms, mt).tail == segment_intersect(s, t)
-            assert module_colon(ms, mt).tail == segment_colon(s, t)
+            assert module_sum(ms, mt).hull == segment_union(s, t)
+            assert module_mul(ms, mt).hull == segment_add(s, t)
+            assert module_intersect(ms, mt).hull == segment_intersect(s, t)
+            assert module_colon(ms, mt).hull == segment_colon(s, t)
 
 
 def test_scaling_equivariance(pd_q, K_quad):
@@ -288,7 +296,7 @@ def test_colon_adjunction_laws(pd_q, K_quad):
                     for _ in range(rng.randint(1, 2))]
             return module_from_generators(pd_q, gens)
         shape = rng.choice(["open", "closed"])
-        return canonical(pd_q, (), Segment.make(group, shape, group.rand(rng, 3)))
+        return make_module(pd_q, Segment.make(group, shape, group.rand(rng, 3)))
 
     for _ in range(150):
         a, b = rand_module(), rand_module()
@@ -309,7 +317,7 @@ def test_product_distributes_over_sum(pd_q, K_quad):
         gens = [(K_quad.rand_nonzero(rng, 3), group.rand(rng, 3))]
         m = module_from_generators(pd_q, gens)
         if rng.random() < 0.4:
-            m = canonical(pd_q, (), Segment.make(group, rng.choice(["open", "closed"]), group.rand(rng, 3)))
+            m = make_module(pd_q, Segment.make(group, rng.choice(["open", "closed"]), group.rand(rng, 3)))
         return m
 
     for _ in range(120):
@@ -382,10 +390,11 @@ def test_truncated_model_oracle(pd_z, K_quad):
             return module_from_generators(pd_z, gens)
         if roll < 0.7:
             return unit_module(pd_z)
-        return canonical(pd_z, (), Segment.closed(pd_z.group, rng.randint(1, 4)))
+        return make_module(pd_z, Segment.closed(pd_z.group, rng.randint(1, 4)))
 
     for _ in range(80):
         a, b = rand_integral(), rand_integral()
+        _, b_tail = jump_and_tail(b)
         ma = _model_monomials(a, levels, K_quad)
         mb = _model_monomials(b, levels, K_quad)
         # sum: union of spanning monomials
@@ -425,9 +434,9 @@ def test_truncated_model_oracle(pd_z, K_quad):
                         not contains_vector(space_at(a, g + g2), K_quad.mul(outside, c2))
                         for g2, c2 in hb if g + g2 <= levels[-1]
                     )
-                    tail_escape = not b.tail.is_empty() and not all(
+                    tail_escape = not b_tail.is_empty() and not all(
                         space_at(a, g + g2).is_full() for g2 in range(1, 5)
-                        if b.tail.contains(g2) and g + g2 <= levels[-1]
+                        if b_tail.contains(g2) and g + g2 <= levels[-1]
                     )
                     assert bad or tail_escape
 

@@ -9,6 +9,7 @@ import pytest
 
 from semistar.algebra import AlgebraError
 from semistar.numsgr import (
+    MAX_FROBENIUS,
     NumericalSemigroup,
     enumerate_ideals,
     hull_extension,
@@ -40,6 +41,15 @@ def test_semigroup_construction():
         NumericalSemigroup.create([4, 6])
     with pytest.raises(AlgebraError):
         NumericalSemigroup.create([0, 3])
+
+
+def test_frobenius_from_the_apery_set_and_its_cap():
+    assert NumericalSemigroup.create([1]).frobenius == -1
+    assert NumericalSemigroup.create([173, 175]).frobenius == 173 * 175 - 173 - 175
+    assert NumericalSemigroup.create([2, 3, 10**9]).gaps == (1,)  # a huge redundant generator
+    for gens in ([175, 177], [30002, 30003], [10007, 10009]):
+        with pytest.raises(AlgebraError, match=f"above the cap {MAX_FROBENIUS}"):
+            NumericalSemigroup.create(gens)
 
 
 def test_normalize():

@@ -244,11 +244,11 @@ def test_degree_one_pullback_agrees_with_valuation_engine(K_triv):
     for opname in ("d", "v", "t", "w", "bar(v)", "st[V]", "st[K]"):
         op = parse_op(opname)
         for seg in segments:
-            from semistar.dplusm import canonical
+            from semistar.dplusm import make_module
 
-            via_module = apply(op, make_handle(pb, canonical(pb.payload, (), seg)))
+            via_module = apply(op, make_handle(pb, make_module(pb.payload, seg)))
             via_segment = apply(op, make_handle(vd, seg))
-            assert via_module.payload.tail == via_segment.payload, opname
+            assert via_module.payload.hull == via_segment.payload, opname
 
 
 def test_prime_field_pullback():
@@ -386,6 +386,25 @@ def test_bar_derives_its_data_once_per_domain(monkeypatch, K_quad):
     assert sum(calls) == 1  # D^v, for the localizing system and its meet
     assert dom.fact(compile_op, barred).kind == "identity"  # the system is {D}
     assert all(handle_eq(img, handle_colon(e, unit_handle(dom))) for img, e in zip(images, ideals))
+
+
+def test_v_builds_the_unit_module_once_per_domain(monkeypatch, K_quad):
+    from semistar import dplusm
+    from semistar.operations import pullback_domain
+
+    built = []
+    original = dplusm.unit_module
+
+    def counted(pd):
+        built.append(pd)
+        return original(pd)
+
+    monkeypatch.setattr(dplusm, "unit_module", counted)
+    dom = pullback_domain(K_quad, "Q", "p318-v-unit-once")
+    ideals = [make_handle(dom, dplusm.module_from_generators(dom.payload, [(K_quad.gen(), k)])) for k in range(10)]
+    images = [apply(v_op(), e) for e in ideals]
+    assert len(built) <= 1
+    assert all(handle_eq(img, e) for img, e in zip(images, ideals))  # principal ideals are divisorial
 
 
 def test_finite_type_computes_the_envelope_image_once(monkeypatch, K_triv):
