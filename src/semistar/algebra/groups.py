@@ -154,12 +154,7 @@ class Segment:
 
     def leq(self, other: "Segment") -> bool:
         """Subset test: self a subset of other."""
-        _same_group(self, other)
         return self.key >= other.key
-
-    def eq(self, other: "Segment") -> bool:
-        _same_group(self, other)
-        return self.key == other.key
 
     def fmt(self) -> str:
         if self.is_whole():
@@ -170,14 +165,8 @@ class Segment:
         return (">" if strict else ">=") + self.group.fmt(cut)
 
 
-def _same_group(s: Segment, t: Segment):
-    if s.group != t.group:
-        raise AlgebraError("segments over different value groups")
-
-
 def segment_add(s: Segment, t: Segment) -> Segment:
     """Minkowski sum; models the product of the corresponding valuation ideals."""
-    _same_group(s, t)
     if s.is_empty() or t.is_empty():
         return Segment.empty(s.group)
     if s.is_whole() or t.is_whole():
@@ -188,7 +177,6 @@ def segment_add(s: Segment, t: Segment) -> Segment:
 
 def segment_colon(s: Segment, t: Segment) -> Segment:
     """{g : g + t <= s} (colon of valuation ideals, exact in dense groups)."""
-    _same_group(s, t)
     if t.is_empty():
         raise AlgebraError("segment colon by the empty segment")
     if s.is_whole():
@@ -200,12 +188,10 @@ def segment_colon(s: Segment, t: Segment) -> Segment:
 
 
 def segment_intersect(s: Segment, t: Segment) -> Segment:
-    _same_group(s, t)
     return s if s.key >= t.key else t
 
 
 def segment_union(s: Segment, t: Segment) -> Segment:
-    _same_group(s, t)
     return t if s.key >= t.key else s
 
 

@@ -32,6 +32,21 @@ def _render_json(rows) -> str:
     return json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 
+def _emit(text: str, rows, report: "str | None", code: int) -> int:
+    """Write text to stdout and, when asked, the report as well (JSON for a
+    .json path); a report that cannot be written is one error line and exit
+    code 2."""
+    sys.stdout.write(text)
+    if report:
+        try:
+            with open(report, "w", encoding="utf-8") as fh:
+                fh.write(_render_json(rows) if report.endswith(".json") else text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    return code
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="semistar",
@@ -81,11 +96,7 @@ def main(argv=None) -> int:
             return 2
         code, rows = scenarios.run_scenarios(args.scenario, spec)
         text = _render_text(rows) if args.format == "text" else _render_json(rows)
-        sys.stdout.write(text)
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(_render_json(rows) if args.report.endswith(".json") else text)
-        return code
+        return _emit(text, rows, args.report, code)
 
     if args.suite:
         from .theorems import theorem_suite
@@ -103,11 +114,7 @@ def main(argv=None) -> int:
                 if not report.ok:
                     code = 1
         text = "\n".join(texts) + "\n" if args.format == "text" else _render_json(rows)
-        sys.stdout.write(text)
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(_render_json(rows) if args.report.endswith(".json") else text)
-        return code
+        return _emit(text, rows, args.report, code)
 
     build_parser().print_help()
     return 2

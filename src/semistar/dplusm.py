@@ -92,11 +92,6 @@ class LeveledModule:
         return f"mod[{basis}@{group.fmt(c)} | K@{Segment.open(group, c).fmt()}]"
 
 
-def _check_domain(a: LeveledModule, b: LeveledModule):
-    if a.domain != b.domain:
-        raise AlgebraError("modules over different pullback domains")
-
-
 def make_module(domain: PullbackDomain, hull: Segment, space: "Subspace | None" = None) -> LeveledModule:
     """The module with this hull and this space at the hull's minimum (None:
     all of K).  A full space is no jump; a zero space leaves the open hull
@@ -166,18 +161,12 @@ def whole_module(domain: PullbackDomain) -> LeveledModule:
 # -- lattice and arithmetic ---------------------------------------------------
 
 def module_leq(a: LeveledModule, b: LeveledModule) -> bool:
-    _check_domain(a, b)
     if not a.hull.leq(b.hull):
         return False
     # only b's minimum can hold less than K, and a reaches it only with the same hull
     if b.space is None or a.hull != b.hull:
         return True
     return a.space is not None and a.space.leq(b.space)
-
-
-def module_eq(a: LeveledModule, b: LeveledModule) -> bool:
-    _check_domain(a, b)
-    return a == b  # canonical form makes structural equality semantic
 
 
 def _space_at_minimum(combine, a: LeveledModule, b: LeveledModule, hull: Segment):
@@ -191,19 +180,16 @@ def _space_at_minimum(combine, a: LeveledModule, b: LeveledModule, hull: Segment
 
 
 def module_sum(a: LeveledModule, b: LeveledModule) -> LeveledModule:
-    _check_domain(a, b)
     hull = segment_union(a.hull, b.hull)
     return make_module(a.domain, hull, _space_at_minimum(subspace_sum, a, b, hull))
 
 
 def module_intersect(a: LeveledModule, b: LeveledModule) -> LeveledModule:
-    _check_domain(a, b)
     hull = segment_intersect(a.hull, b.hull)
     return make_module(a.domain, hull, _space_at_minimum(subspace_intersect, a, b, hull))
 
 
 def module_mul(a: LeveledModule, b: LeveledModule) -> LeveledModule:
-    _check_domain(a, b)
     hull = segment_add(a.hull, b.hull)
     if a.space is None or b.space is None:
         return LeveledModule(a.domain, hull)  # a nonzero space times K is K
@@ -221,7 +207,6 @@ def module_scale(a: LeveledModule, coeff, level) -> LeveledModule:
 def module_colon(a: LeveledModule, b: LeveledModule) -> LeveledModule:
     """{z : z * b inside a}: by b's hull when b has no jump, else a shifted
     down by b's jump level, with a's space transported by b's."""
-    _check_domain(a, b)
     group = a.domain.group
     if b.space is None:
         full = a.hull if a.space is None else Segment.open(group, a.hull.cut)

@@ -24,6 +24,11 @@ the family string.  The three engines expose the same names, duck-typed:
 - the segment view of valuation and pullback payloads: `tail(a)` of a
   payload without a jump, `hull(a)` = a V, and `from_tail(seg)`.
 
+The operands of a binary handle operation share one domain.  The handle
+layer checks that once (`_shares_domain`) and raises an AlgebraError for
+operands over two domains; the payload functions assume it, and payloads
+are canonical, so payloads are compared with `==`.
+
 Evaluation is compiled once per (domain, op): `compile_op`, reached through
 `dom.fact`, gives a CompiledOp whose `run` maps an ideal to its image and
 whose `form` is what `op_closed_form` reports.  Its kind is `identity`,
@@ -266,7 +271,7 @@ def make_handle(domain: DomainHandle, payload) -> IdealHandle:
     witness = eng.fg_witness(payload)
     # payloads are frozen and canonical: an equal live payload already passed
     if witness is not None and payload not in domain.verified:
-        if not eng.eq(eng.regenerate(witness), payload):
+        if eng.regenerate(witness) != payload:
             raise ConsistencyError("finite-generation witness does not regenerate the ideal")
         domain.verified.add(payload)
     return IdealHandle(domain, payload, witness)
@@ -280,20 +285,35 @@ def maximal_handle(domain: DomainHandle) -> IdealHandle:
     return domain.maximal
 
 
+def _shares_domain(a: IdealHandle, b: IdealHandle) -> bool:
+    return a.domain is b.domain or a.domain == b.domain
+
+
+def _common_domain(a: IdealHandle, b: IdealHandle) -> DomainHandle:
+    """The domain of both operands; the payload functions assume there is one."""
+    if not _shares_domain(a, b):
+        raise AlgebraError(f"operands over two domains: {a.domain!r} and {b.domain!r}")
+    return a.domain
+
+
 def handle_add(a: IdealHandle, b: IdealHandle) -> IdealHandle:
-    return make_handle(a.domain, a.domain.engine.add(a.payload, b.payload))
+    dom = _common_domain(a, b)
+    return make_handle(dom, dom.engine.add(a.payload, b.payload))
 
 
 def handle_mul(a: IdealHandle, b: IdealHandle) -> IdealHandle:
-    return make_handle(a.domain, a.domain.engine.mul(a.payload, b.payload))
+    dom = _common_domain(a, b)
+    return make_handle(dom, dom.engine.mul(a.payload, b.payload))
 
 
 def handle_intersect(a: IdealHandle, b: IdealHandle) -> IdealHandle:
-    return make_handle(a.domain, a.domain.engine.intersect(a.payload, b.payload))
+    dom = _common_domain(a, b)
+    return make_handle(dom, dom.engine.intersect(a.payload, b.payload))
 
 
 def handle_colon(a: IdealHandle, b: IdealHandle) -> IdealHandle:
-    return make_handle(a.domain, a.domain.engine.colon(a.payload, b.payload))
+    dom = _common_domain(a, b)
+    return make_handle(dom, dom.engine.colon(a.payload, b.payload))
 
 
 def handle_inverse(a: IdealHandle) -> IdealHandle:
@@ -301,7 +321,7 @@ def handle_inverse(a: IdealHandle) -> IdealHandle:
 
 
 def handle_leq(a: IdealHandle, b: IdealHandle) -> bool:
-    if a.domain == b.domain:
+    if _shares_domain(a, b):
         return a.domain.engine.leq(a.payload, b.payload)
     # mixed comparison across a spectral localization: localize a first
     projected = a.domain.engine.localize(a.payload)
@@ -311,8 +331,8 @@ def handle_leq(a: IdealHandle, b: IdealHandle) -> bool:
 
 
 def handle_eq(a: IdealHandle, b: IdealHandle) -> bool:
-    if a.domain == b.domain:
-        return a.domain.engine.eq(a.payload, b.payload)
+    if _shares_domain(a, b):
+        return a.payload == b.payload
     return handle_leq(a, b) and handle_leq(b, a)
 
 
@@ -413,9 +433,6 @@ class _NumsgrEngine:
 
     def leq(self, a, b):
         return numsgr.ideal_leq(a, b)
-
-    def eq(self, a, b):
-        return a == b
 
     def scale(self, a, scalar):
         return numsgr.ideal_shift(a, int(scalar))
@@ -532,9 +549,6 @@ class _ValuationEngine:
 
     def leq(self, a, b):
         return a.leq(b)
-
-    def eq(self, a, b):
-        return a.eq(b)
 
     def scale(self, a, scalar):
         return segment_shift(a, scalar)
@@ -659,9 +673,6 @@ class _PullbackEngine:
 
     def leq(self, a, b):
         return dplusm.module_leq(a, b)
-
-    def eq(self, a, b):
-        return dplusm.module_eq(a, b)
 
     def scale(self, a, scalar):
         coeff, level = scalar
@@ -892,13 +903,8 @@ _GENERIC = {
 class LocalizingSystemView:
     """F^op presented by a finite cofinal family of certified members."""
 
-    domain: DomainHandle
-    op: SemistarOp
     members: tuple
     trivial: bool  # the system is {D}
-
-    def contains(self, i: IdealHandle) -> bool:
-        return handle_eq(apply(self.op, i), unit_image(self.op, self.domain))
 
 
 def localizing_system(op: SemistarOp, dom: DomainHandle) -> LocalizingSystemView:
@@ -923,7 +929,7 @@ def _localizing_system(op: SemistarOp, dom: DomainHandle) -> LocalizingSystemVie
         raise UnsupportedOperation("constant-field operation has no finite cofinal family")
     mstar = apply(op, maximal_handle(dom))
     if not handle_eq(mstar, dstar):
-        return LocalizingSystemView(dom, op, (unit_handle(dom),), True)
+        return LocalizingSystemView((unit_handle(dom),), True)
     rng = random.Random(0xC0F1)
     for payload in eng.proper_subideal_samples(rng):
         sub = make_handle(dom, payload)
@@ -932,7 +938,7 @@ def _localizing_system(op: SemistarOp, dom: DomainHandle) -> LocalizingSystemVie
     member = maximal_handle(dom)
     if not handle_eq(apply(op, member), dstar):
         raise ConsistencyError("certified member lost its defining property")
-    return LocalizingSystemView(dom, op, (member,), False)
+    return LocalizingSystemView((member,), False)
 
 
 def quasi_star_ideal_check(op: SemistarOp, i: IdealHandle) -> bool:

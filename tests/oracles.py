@@ -23,7 +23,7 @@ from semistar.algebra.fields import SAMPLE_ATTEMPTS, common_denominator, poly_di
 from semistar.classify import _induced_by_valuation_overring, probe_ideals
 from semistar.dplusm import LeveledModule, PullbackDomain, make_module
 from semistar.numsgr import NumericalSemigroup
-from semistar.operations import IdealHandle, LocalizingSystemView, apply, handle_leq, handle_mul, make_handle
+from semistar.operations import IdealHandle, apply, handle_eq, handle_leq, handle_mul, make_handle, unit_handle
 from semistar.verdict import holds, refuted, unknown
 
 
@@ -199,8 +199,9 @@ def value_grids(group, radius: int):
     return [(a, b) for a in box for b in box], [(a, b) for a in wide for b in wide]
 
 
-def ls_contains(ls: LocalizingSystemView, i: IdealHandle) -> bool:
-    return ls.contains(i)
+def ls_contains(op, i: IdealHandle) -> bool:
+    """I in the localizing system of op, by its definition: I^op = D^op."""
+    return handle_eq(apply(op, i), apply(op, unit_handle(i.domain)))
 
 
 # ---------------------------------------------------------------------------

@@ -278,7 +278,7 @@ def test_segment_chain_property():
     for s in segs:
         for t in segs:
             assert s.leq(t) or t.leq(s)
-            assert segment_intersect(s, t) in (s, t) or segment_intersect(s, t).eq(s) or segment_intersect(s, t).eq(t)
+            assert segment_intersect(s, t) in (s, t)
 
 
 def test_segment_add_monoid_laws():
@@ -326,12 +326,15 @@ def test_divisoriality_of_double_colon():
         assert closure == Segment.closed(gq, s.cut)
 
 
-def test_segment_union_and_mismatch():
+def test_segment_union_and_mismatch(dom_vq, dom_vz):
+    from semistar.operations import handle_mul, make_handle
+
     gq = ValueGroup("Q")
     gz = ValueGroup("Z")
     assert segment_union(Segment.closed(gq, 1), Segment.closed(gq, 2)) == Segment.closed(gq, 1)
-    with pytest.raises(AlgebraError):
-        segment_add(Segment.closed(gq, 1), Segment.closed(gz, 1))
+    # segment payloads assume one group; the handle layer refuses two
+    with pytest.raises(AlgebraError, match="two domains"):
+        handle_mul(make_handle(dom_vq, Segment.closed(gq, 1)), make_handle(dom_vz, Segment.closed(gz, 1)))
 
 
 RADIUS = {"Z": 3, "Q": 2, "ZxZ": 1}
@@ -381,7 +384,7 @@ def test_segment_operations_match_membership(case):
         members[name] = tuple(member(g) for g in probes)
         assert tuple(seg.contains(g) for g in probes) == members[name], name
     assert s.leq(t) == all(b for a, b in zip(members["s"], members["t"]) if a)
-    assert s.eq(t) == (members["s"] == members["t"])
+    assert (s == t) == (members["s"] == members["t"])
     # structural equality is semantic equality, for results as for inputs
     for a, (seg_a, _) in expected.items():
         for b, (seg_b, _) in expected.items():

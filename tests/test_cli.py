@@ -47,6 +47,17 @@ def test_scenario_report_written(tmp_path, capsys):
     assert rows == json.loads(capsys.readouterr().out)
 
 
+def test_unwritable_report_is_one_line_and_exit_2(tmp_path, capsys):
+    shown = main(["--scenario", "numsgr-345", "--samples", "2"])
+    expected = capsys.readouterr().out
+    report = tmp_path / "missing" / "x.json"
+    assert shown == 0
+    assert main(["--scenario", "numsgr-345", "--samples", "2", "--report", str(report)]) == 2
+    out, err = capsys.readouterr()
+    assert out == expected  # stdout is written before the report
+    assert err.startswith("error: ") and str(report) in err and err.count("\n") == 1
+
+
 def test_unknown_scenario_raises():
     import pytest
 
@@ -130,8 +141,8 @@ HOSTILE = sorted((pathlib.Path(__file__).parent / "hostile").glob("*.domain"))
 def test_hostile_extension_fails_fast_with_exit_2(path, capsys):
     """A huge constant term over Q, a coefficient literal above its cap,
     degrees far above the caps over Q and F_p, and numerical semigroups
-    whose Frobenius number is above its cap, each fail with one line and
-    exit code 2 in under a second."""
+    whose Frobenius number or generator count is above its cap, each fail
+    with one line and exit code 2 in under a second."""
     start = time.perf_counter()
     assert main(["--domain", str(path), "--expr", "D"]) == 2
     assert time.perf_counter() - start < 1.0

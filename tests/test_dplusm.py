@@ -17,7 +17,6 @@ from semistar.dplusm import (
     make_module,
     maximal_module,
     module_colon,
-    module_eq,
     module_from_generators,
     module_intersect,
     module_leq,
@@ -56,7 +55,7 @@ def test_generator_module_shapes(pd_q, K_quad):
     md = module_from_generators(pd_q, [(one, 1)])
     assert md.hull == Segment.closed(pd_q.group, 1) and md.space.dim == 1
     d = module_from_generators(pd_q, [(one, 0)])
-    assert module_eq(d, unit_module(pd_q))
+    assert d == unit_module(pd_q)
     mv = module_from_generators(pd_q, [(one, 1), (a, 1)])
     assert mv.space is None and mv.hull == Segment.closed(pd_q.group, 1)
     with pytest.raises(AlgebraError):
@@ -72,11 +71,11 @@ def test_intersection_of_twisted_principals(pd_q, K_quad):
     meet = module_intersect(md, mxd)
     assert meet.space is None and meet.hull == Segment.open(pd_q.group, 1)
     m = maximal_module(pd_q)
-    assert module_eq(meet, module_scale(m, one, 1))
+    assert meet == module_scale(m, one, 1)
     d = unit_module(pd_q)
     ad = module_from_generators(pd_q, [(a, 0)])
-    assert module_eq(module_intersect(d, ad), m)
-    assert module_eq(module_intersect(md, md), md)
+    assert module_intersect(d, ad) == m
+    assert module_intersect(md, md) == md
 
 
 def test_random_twisted_intersections(pd_q, K_quad):
@@ -93,22 +92,22 @@ def test_random_twisted_intersections(pd_q, K_quad):
         mxd = module_from_generators(pd_q, [(K_quad.mul(c, x), g)])
         meet = module_intersect(md, mxd)
         expected = make_module(pd_q, Segment.open(group, g))
-        assert module_eq(meet, expected)
+        assert meet == expected
 
 
 def test_products_and_extension(pd_q, K_quad):
     one, a = K_quad.one, K_quad.gen()
     m = maximal_module(pd_q)
-    assert module_eq(module_mul(m, m), m)  # M = M^2 over a dense group
+    assert module_mul(m, m) == m  # M = M^2 over a dense group
     md = module_from_generators(pd_q, [(one, 1)])
     m2d = module_from_generators(pd_q, [(one, 2)])
-    assert module_eq(module_mul(md, m2d), module_from_generators(pd_q, [(one, 3)]))
+    assert module_mul(md, m2d) == module_from_generators(pd_q, [(one, 3)])
     assert extend_to_V(md).hull == Segment.closed(pd_q.group, 1)
     mm = module_intersect(md, module_from_generators(pd_q, [(a, 1)]))
-    assert module_eq(extend_to_V(mm), mm)  # M V = M fixes the open tail
+    assert extend_to_V(mm) == mm  # M V = M fixes the open tail
     v = overring_module(pd_q)
-    assert module_eq(module_mul(unit_module(pd_q), v), v)
-    assert module_eq(extend_to_V(unit_module(pd_q)), v)
+    assert module_mul(unit_module(pd_q), v) == v
+    assert extend_to_V(unit_module(pd_q)) == v
 
 
 def test_sum_merges_to_extension(pd_q, K_quad):
@@ -116,35 +115,35 @@ def test_sum_merges_to_extension(pd_q, K_quad):
     md = module_from_generators(pd_q, [(one, 1)])
     mxd = module_from_generators(pd_q, [(a, 1)])
     total = module_sum(md, mxd)
-    assert module_eq(total, extend_to_V(md))  # quadratic extension fills K
+    assert total == extend_to_V(md)  # quadratic extension fills K
 
 
 def test_colon_examples(pd_q, pd_z, K_quad):
     one = K_quad.one
     for pd in (pd_q, pd_z):
         d, m, v = unit_module(pd), maximal_module(pd), overring_module(pd)
-        assert module_eq(module_colon(d, m), v)
-        assert module_eq(module_colon(m, m), v)
-        assert module_eq(module_colon(d, v), m)
-        assert module_eq(module_colon(d, d), d)
+        assert module_colon(d, m) == v
+        assert module_colon(m, m) == v
+        assert module_colon(d, v) == m
+        assert module_colon(d, d) == d
         md = module_from_generators(pd, [(one, 1)])
         inv = module_colon(d, md)
-        assert module_eq(module_mul(inv, md), d)
-        assert module_eq(v_closure_pullback(d, d), d)
-        assert module_eq(v_closure_pullback(m, d), m)
+        assert module_mul(inv, md) == d
+        assert v_closure_pullback(d, d) == d
+        assert v_closure_pullback(m, d) == m
 
 
 def test_pvd_maximal_is_finitely_generated(pd_z, K_quad):
     one, a = K_quad.one, K_quad.gen()
     m = maximal_module(pd_z)
     two_gen = module_from_generators(pd_z, [(one, 1), (a, 1)])
-    assert module_eq(two_gen, m)
+    assert two_gen == m
     w = fg_witness(m)
-    assert w is not None and module_eq(module_from_generators(pd_z, list(w)), m)
+    assert w is not None and module_from_generators(pd_z, list(w)) == m
     d = unit_module(pd_z)
     trace = module_mul(m, module_colon(d, m))
-    assert module_eq(trace, m)
-    assert not module_eq(trace, d)
+    assert trace == m
+    assert trace != d
 
 
 def test_fg_witnesses(pd_q, K_quad):
@@ -152,10 +151,10 @@ def test_fg_witnesses(pd_q, K_quad):
     assert fg_witness(whole_module(pd_q)) is None
     md = module_from_generators(pd_q, [(K_quad.one, Fraction(1, 2))])
     w = fg_witness(md)
-    assert w is not None and module_eq(module_from_generators(pd_q, list(w)), md)
+    assert w is not None and module_from_generators(pd_q, list(w)) == md
     v = overring_module(pd_q)
     w = fg_witness(v)
-    assert w is not None and module_eq(module_from_generators(pd_q, list(w)), v)
+    assert w is not None and module_from_generators(pd_q, list(w)) == v
 
 
 def test_canonical_rejects_bad_shapes(pd_q, K_quad):
@@ -275,14 +274,9 @@ def test_scaling_equivariance(pd_q, K_quad):
         other = module_from_generators(pd_q, [(K_quad.rand_nonzero(rng, 3), group.rand(rng, 3))])
         c = K_quad.rand_nonzero(rng, 3)
         g = group.rand(rng, 3)
-        assert module_eq(
-            module_scale(module_mul(mod, other), c, g),
-            module_mul(module_scale(mod, c, g), other),
-        )
-        assert module_eq(
-            module_scale(module_intersect(mod, other), c, g),
-            module_intersect(module_scale(mod, c, g), module_scale(other, c, g)),
-        )
+        assert module_scale(module_mul(mod, other), c, g) == module_mul(module_scale(mod, c, g), other)
+        assert (module_scale(module_intersect(mod, other), c, g)
+                == module_intersect(module_scale(mod, c, g), module_scale(other, c, g)))
 
 
 def test_colon_adjunction_laws(pd_q, K_quad):
@@ -324,9 +318,9 @@ def test_product_distributes_over_sum(pd_q, K_quad):
         a, b, c = rand_module(), rand_module(), rand_module()
         lhs = module_mul(module_sum(a, b), c)
         rhs = module_sum(module_mul(a, c), module_mul(b, c))
-        assert module_eq(lhs, rhs)
-        assert module_eq(module_mul(a, b), module_mul(b, a))
-        assert module_eq(module_mul(module_mul(a, b), c), module_mul(a, module_mul(b, c)))
+        assert lhs == rhs
+        assert module_mul(a, b) == module_mul(b, a)
+        assert module_mul(module_mul(a, b), c) == module_mul(a, module_mul(b, c))
 
 
 def _flat_rref(rows):

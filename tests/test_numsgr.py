@@ -179,5 +179,8 @@ def test_hull_extension():
 
 
 def test_ring_mismatch_rejected():
-    with pytest.raises(AlgebraError):
-        ideal_sum(ring_ideal(S345), ring_ideal(S23))
+    from semistar.operations import handle_add, semigroup_domain, unit_handle
+
+    # monomial-ideal payloads assume one ring; the handle layer refuses two
+    with pytest.raises(AlgebraError, match="two domains"):
+        handle_add(unit_handle(semigroup_domain([3, 4, 5])), unit_handle(semigroup_domain([2, 3])))

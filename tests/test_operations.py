@@ -15,23 +15,29 @@ from semistar.operations import (
     d_op,
     desc_op,
     ft_op,
+    handle_add,
     handle_colon,
     handle_eq,
+    handle_intersect,
     handle_leq,
+    handle_mul,
     localizing_system,
     make_handle,
     maximal_handle,
     op_leq,
     op_to_text,
     ops_equal_on,
+    pullback_domain,
     quasi_star_ideal_check,
     quasi_star_maximals,
+    semigroup_domain,
     spec_op,
     st_op,
     t_op,
     tilde_op,
     unit_handle,
     v_op,
+    valuation_domain,
     w_op,
 )
 from semistar.classify import probe_ideals
@@ -128,10 +134,11 @@ def test_ls_contains(dom_vq):
     from oracles import ls_contains
 
     ls = localizing_system(v_op(), dom_vq)
-    assert ls_contains(ls, maximal_handle(dom_vq))
-    assert ls_contains(ls, unit_handle(dom_vq))
     small = make_handle(dom_vq, Segment.closed(dom_vq.payload_group, Fraction(1, 2)))
-    assert not ls_contains(ls, small)
+    for i, inside in ((maximal_handle(dom_vq), True), (unit_handle(dom_vq), True), (small, False)):
+        assert ls_contains(v_op(), i) == inside
+        # the system is the integral ideals above a member of its cofinal family
+        assert any(handle_leq(m, i) for m in ls.members) == inside
 
 
 def test_localizing_system_monotone(dom_vq):
@@ -206,6 +213,26 @@ def test_spectral_localization(dom_lex):
     assert handle_eq(apply(spec_op("M"), m), m)
 
 
+def test_binary_operations_refuse_operands_over_two_domains(QQ, K_quad, K_triv, dom_345, dom_pvd, dom_vq, dom_vz):
+    from semistar.algebra import ExtensionField
+
+    pairs = [
+        (dom_345, semigroup_domain([3, 5, 7])),
+        (dom_345, dom_pvd),
+        (dom_pvd, dom_vq),
+        (dom_vz, valuation_domain(K_quad, "Z")),  # residue field Q against Q(sqrt 2)
+        (dom_pvd, pullback_domain(ExtensionField(QQ, [-3, 0, 1]), "Z")),  # a^2-2 against a^2-3
+        (dom_vq, dom_vz),
+        (dom_vq, valuation_domain(K_triv, "Q", "v-q again")),  # equal payloads, two names
+    ]
+    binary = (handle_add, handle_mul, handle_intersect, handle_colon, handle_leq, handle_eq)
+    for first, second in pairs:
+        for x, y in ((first, second), (second, first)):
+            for fn in binary:
+                with pytest.raises(AlgebraError):
+                    fn(unit_handle(x), maximal_handle(y))
+
+
 def test_op_ordering_verdicts(dom_vq, dom_318):
     universe = probe_ideals(dom_vq, SPEC, n=30)
     assert op_leq(d_op(), v_op(), universe).is_holds
@@ -227,7 +254,7 @@ def test_fg_witness_regeneration(dom_pvd, dom_318, dom_345):
         for _ in range(40):
             h = make_handle(domain, eng.sample_ideal(rng, SPEC))
             if h.finitely_generated:
-                assert eng.eq(eng.regenerate(h.fg_witness), h.payload)
+                assert eng.regenerate(h.fg_witness) == h.payload
 
 
 def test_degree_one_pullback_agrees_with_valuation_engine(K_triv):
