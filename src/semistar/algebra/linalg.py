@@ -73,6 +73,27 @@ def rref(base, rows, width):
     return out, tuple(pivots)
 
 
+def is_rref(base, rows, width) -> bool:
+    """True when rows are their own reduced row echelon form, as rref returns
+    it: every row has the given width and a leading one, the pivot columns
+    increase, each pivot is alone in its column, and over F_p every entry is
+    a residue in [0, p).  Builds nothing."""
+    p = base.p if base.kind == "Fp" else 0
+    one = base.one
+    last = -1
+    for r, row in enumerate(rows):
+        if len(row) != width or (p and not all(0 <= v < p for v in row)):
+            return False
+        pc = next((i for i, v in enumerate(row) if v), None)
+        if pc is None or pc <= last or row[pc] != one:
+            return False
+        # the rows below lead further right, so only the rows above can share the column
+        if any(rows[s][pc] for s in range(r)):
+            return False
+        last = pc
+    return True
+
+
 def _annihilator(base, red, pivots, width):
     """Basis of {x : M x = 0} for a matrix M already in RREF with these pivots."""
     basis = []

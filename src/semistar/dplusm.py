@@ -25,6 +25,7 @@ from .algebra.groups import (
 )
 from .algebra.linalg import (
     Subspace,
+    is_rref,
     subspace_intersect,
     subspace_product,
     subspace_scale,
@@ -238,6 +239,30 @@ def fg_witness(a: LeveledModule):
         return None
     rows = a.domain.residue_ext.basis if a.space is None else a.space.rows
     return tuple((row, c) for row in rows)
+
+
+def module_canonical(domain: PullbackDomain, m: LeveledModule) -> bool:
+    """True exactly when m is the module its generators regenerate over
+    domain, module_from_generators(domain, fg_witness(m)) == m, read off the
+    fields: m lies over domain with a hull in its group, and a jump space
+    sits at the hull's minimum, in K, of dimension strictly between 0 and
+    [K : k], with rows in RREF.  A module without a minimum passes on the
+    same fields; it has no jump."""
+    if not (m.domain is domain or m.domain == domain):
+        return False
+    group = domain.group
+    if not (m.hull.group is group or m.hull.group == group):
+        return False
+    w = m.space
+    if w is None:
+        return True
+    K = domain.residue_ext
+    return (
+        m.hull.minimum() is not None
+        and (w.ambient is K or w.ambient == K)
+        and 0 < len(w.rows) < K.degree
+        and is_rref(K.base, w.rows, K.degree)
+    )
 
 
 def localize_at(seg: Segment) -> Segment:

@@ -127,6 +127,26 @@ def ideal_normalize(ring: NumericalSemigroup, values) -> MonomialIdeal:
     return MonomialIdeal(ring, tuple(kept))
 
 
+def ideal_canonical(ring: NumericalSemigroup, a: MonomialIdeal) -> bool:
+    """True exactly when a is ideal_normalize(ring, a.gens), read off the
+    generators: a lies over ring, and its generators are nonempty, strictly
+    increasing and minimal (no difference g_j - g_i lies in S)."""
+    if not (a.ring is ring or a.ring == ring):
+        return False
+    gens = a.gens
+    if not gens:
+        return False
+    gaps = ring._gapset  # a positive difference lies in S exactly when it is no gap
+    for j in range(1, len(gens)):
+        g = gens[j]
+        if g <= gens[j - 1]:
+            return False
+        for h in gens[:j]:
+            if g - h not in gaps:
+                return False
+    return True
+
+
 def ideal_membership(a: MonomialIdeal, z: int) -> bool:
     return any(a.ring.member(z - g) for g in a.gens)
 

@@ -8,10 +8,15 @@ only the engine table (`DomainHandle.engine`) and `exprs.parse_domain` read
 the family string.  The three engines expose the same names, duck-typed:
 
 - payload arithmetic (`add`, `colon`, `v`, `extend`, `scale`, `leq`, ...);
-- generator lists: `fg_witness(a)` gives one, `regenerate(gens)` builds the
-  payload (also from a parsed list), `fmt_gens(gens)` spells it for `fmt`
-  and `exprs.print_expr`, and `K` is the coefficient field, None for bare
+- generator lists: `finitely_generated(a)` says whether one exists,
+  `fg_witness(a)` gives one, `regenerate(gens)` builds the payload (also
+  from a parsed list), `fmt_gens(gens)` spells it for `fmt` and
+  `exprs.print_expr`, and `K` is the coefficient field, None for bare
   monomials;
+- `canonical(a)`: True exactly when `regenerate(fg_witness(a)) == a`, read
+  off the payload's fields without building anything (a payload with no
+  witness is checked on the same fields); `make_handle` raises a
+  ConsistencyError on every payload that fails it;
 - sampling: `sample_*`, `proper_subideal_samples` (raises where no cofinal
   family below M is certified), `ideal_window()` (every small ideal, or
   None), `landmark_pairs()`;
@@ -44,7 +49,6 @@ UnsupportedOperation; nothing is ever silently approximated.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -209,11 +213,6 @@ class DomainHandle:
         return self.engine.localized(self)
 
     @cached_property
-    def verified(self) -> weakref.WeakSet:
-        """Live payloads whose finite-generation witness has regenerated them."""
-        return weakref.WeakSet()
-
-    @cached_property
     def _facts(self) -> dict:
         return {}
 
@@ -256,11 +255,12 @@ def valuation_domain(residue_ext, group_kind: str, name="") -> DomainHandle:
 class IdealHandle:
     domain: DomainHandle
     payload: object
-    fg_witness: "tuple | None"
+    finitely_generated: bool
 
     @property
-    def finitely_generated(self) -> bool:
-        return self.fg_witness is not None
+    def fg_witness(self) -> "tuple | None":
+        """A generator list that regenerates the payload, None when there is none."""
+        return self.domain.engine.fg_witness(self.payload)
 
     def __repr__(self):
         return self.domain.engine.fmt(self.payload)
@@ -268,13 +268,9 @@ class IdealHandle:
 
 def make_handle(domain: DomainHandle, payload) -> IdealHandle:
     eng = domain.engine
-    witness = eng.fg_witness(payload)
-    # payloads are frozen and canonical: an equal live payload already passed
-    if witness is not None and payload not in domain.verified:
-        if eng.regenerate(witness) != payload:
-            raise ConsistencyError("finite-generation witness does not regenerate the ideal")
-        domain.verified.add(payload)
-    return IdealHandle(domain, payload, witness)
+    if not eng.canonical(payload):
+        raise ConsistencyError("payload is not the canonical form of its generators")
+    return IdealHandle(domain, payload, eng.finitely_generated(payload))
 
 
 def unit_handle(domain: DomainHandle) -> IdealHandle:
@@ -364,6 +360,10 @@ def _fmt_monomials(self, gens) -> str:
     return "<" + ", ".join(f"{self.K.fmt(c)}*t({self.group.fmt(g)})" for c, g in gens) + ">"
 
 
+def _has_minimum(self, a) -> bool:
+    return self.hull(a).minimum() is not None
+
+
 def _fmt_segment_payload(self, a) -> str:
     witness = self.fg_witness(a)
     if witness is not None:
@@ -440,8 +440,14 @@ class _NumsgrEngine:
     def fg_witness(self, a):
         return a.gens
 
+    def finitely_generated(self, a) -> bool:
+        return True
+
     def regenerate(self, witness):
         return numsgr.ideal_normalize(self.ring, witness)
+
+    def canonical(self, a) -> bool:
+        return numsgr.ideal_canonical(self.ring, a)
 
     def sample_scalar(self, rng, spec):
         return rng.randint(-spec.value_window, spec.value_window)
@@ -557,8 +563,13 @@ class _ValuationEngine:
         c = a.minimum()
         return None if c is None else ((self.K.one, c),)
 
+    finitely_generated = _has_minimum
+
     def regenerate(self, witness):
         return Segment.closed(self.group, min(self.group.coerce(c) for _, c in witness))  # units of V drop out
+
+    def canonical(self, a) -> bool:
+        return a.group is self.group or a.group == self.group  # the groups module keeps segment keys canonical
 
     def sample_scalar(self, rng, spec):
         return self.group.rand(rng, spec.value_window, spec.denominator_bound)
@@ -681,8 +692,13 @@ class _PullbackEngine:
     def fg_witness(self, a):
         return dplusm.fg_witness(a)
 
+    finitely_generated = _has_minimum
+
     def regenerate(self, witness):
         return dplusm.module_from_generators(self.pd, list(witness))
+
+    def canonical(self, a) -> bool:
+        return dplusm.module_canonical(self.pd, a)
 
     def sample_scalar(self, rng, spec):
         return (self.K.rand_nonzero(rng, 4), self.group.rand(rng, spec.value_window, spec.denominator_bound))
@@ -708,7 +724,7 @@ class _PullbackEngine:
     def sample_fg_ideal(self, rng, spec, integral=False):
         for _ in range(SAMPLE_ATTEMPTS):
             m = self.sample_ideal(rng, spec, integral)
-            if dplusm.fg_witness(m) is not None:
+            if self.finitely_generated(m):
                 return m
         raise AlgebraError(f"no finitely generated sample in {SAMPLE_ATTEMPTS} attempts")
 

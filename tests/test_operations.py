@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+import random
+from fractions import Fraction
 
-from semistar.algebra import AlgebraError
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from semistar.algebra import AlgebraError, ExtensionField, PrimeField, Rationals
 from semistar.laws import check_axioms, check_basic_formulas
 from semistar.operations import (
     SemistarOp,
@@ -316,36 +321,152 @@ def test_landmark_handles_are_built_once(dom_pvd, dom_345):
         assert domain.overring_unit is domain.overring_unit
 
 
-def test_make_handle_still_rejects_a_fresh_payload_that_does_not_regenerate(monkeypatch):
-    from semistar import numsgr
-    from semistar.operations import ConsistencyError, semigroup_domain
+def _planted_payloads():
+    """Payloads no operation builds, each paired with the domain it is handed to."""
+    from semistar.algebra import Segment, Subspace, ValueGroup
+    from semistar.dplusm import LeveledModule, module_from_generators
+    from semistar.numsgr import MonomialIdeal, ideal_normalize
 
-    domain = semigroup_domain([3, 4, 5], "fresh<3,4,5>")
-    ring = domain.payload
-    kept = numsgr.ideal_normalize(ring, [3, 7])
-    make_handle(domain, kept)
-    monkeypatch.setattr(type(domain.engine), "regenerate", lambda self, witness: numsgr.ring_ideal(ring))
-    # an equal payload that is still alive was verified already
-    assert make_handle(domain, numsgr.ideal_normalize(ring, [3, 7])).payload == kept
+    dom_345 = semigroup_domain([3, 4, 5], "planted<3,4,5>")
+    ring = dom_345.payload
+    K = ExtensionField(Rationals(), [-2, 0, 1])
+    dom_pvd = pullback_domain(K, "Z", "planted-pvd")
+    jump = module_from_generators(dom_pvd.payload, [(K.gen(), 3)])  # rows ((0, 1),) at level 3
+    dom_vq = valuation_domain(ExtensionField(Rationals(), [0, 1]), "Q", "planted-vq")
+    return {
+        "numsgr: x^6 - x^3 lies in S": (dom_345, MonomialIdeal(ring, (3, 6))),
+        "numsgr: unsorted generators": (dom_345, MonomialIdeal(ring, (4, 3))),
+        "numsgr: another ring": (dom_345, ideal_normalize(semigroup_domain([2, 3]).payload, [2, 3])),
+        "pullback: a space row scaled by 2": (dom_pvd, LeveledModule(jump.domain, jump.hull, Subspace(K, ((0, 2),)))),
+        "pullback: a full space kept as a jump": (dom_pvd, LeveledModule(jump.domain, jump.hull, Subspace.full(K))),
+        "pullback: another domain": (dom_pvd, module_from_generators(pullback_domain(K, "Q").payload, [(K.gen(), 3)])),
+        "valuation: another group": (dom_vq, Segment.closed(ValueGroup("Z"), 1)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_planted_payloads()))
+def test_make_handle_rejects_a_payload_that_is_not_canonical(case):
+    from semistar.operations import ConsistencyError
+
+    domain, payload = _planted_payloads()[case]
+    assert not domain.engine.canonical(payload)
     with pytest.raises(ConsistencyError):
-        make_handle(domain, numsgr.ideal_normalize(ring, [4, 5]))
+        make_handle(domain, payload)
 
 
-def test_verified_payload_leaves_the_set_once_unreferenced(K_quad):
-    import gc
+# the check make_handle ran before canonical(a) replaced it, kept as the reference
+DIFFERENTIAL = settings(derandomize=True, database=None, deadline=2000, max_examples=200)
+_QQ, _F5 = Rationals(), PrimeField(5)
+DIFF_DOMAINS = {
+    "<3,4,5>": semigroup_domain([3, 4, 5]),
+    "<4,6,9>": semigroup_domain([4, 6, 9]),
+    "Q(sqrt2) over Z": pullback_domain(ExtensionField(_QQ, [-2, 0, 1]), "Z"),
+    "Q(cbrt2) over Q": pullback_domain(ExtensionField(_QQ, [-2, 0, 0, 1]), "Q"),
+    "F125 over Z": pullback_domain(ExtensionField(_F5, [1, 1, 0, 1]), "Z"),
+    "V over Q": valuation_domain(ExtensionField(_QQ, [0, 1]), "Q"),
+    "V over ZxZ": valuation_domain(ExtensionField(_QQ, [0, 1]), "ZxZ"),
+}
 
-    from semistar import dplusm
-    from semistar.operations import pullback_domain
 
-    domain = pullback_domain(K_quad, "Z", "pvd-fresh")
-    gens = [(K_quad.gen(), 3)]
-    handle = make_handle(domain, dplusm.module_from_generators(domain.payload, gens))
-    assert handle.payload in domain.verified
-    size = len(domain.verified)
-    del handle
-    gc.collect()
-    assert len(domain.verified) == size - 1
-    assert dplusm.module_from_generators(domain.payload, gens) not in domain.verified
+def _round_trip(eng, a) -> bool:
+    try:
+        return eng.regenerate(eng.fg_witness(a)) == a
+    except (ValueError, TypeError):  # no generators, a zero one, or a level outside the group
+        return False
+
+
+def _agrees_with_round_trip(domain, a):
+    eng = domain.engine
+    if eng.finitely_generated(a):
+        assert eng.canonical(a) == _round_trip(eng, a), (domain, a)
+    return eng.canonical(a)
+
+
+@DIFFERENTIAL
+@given(st.sampled_from(sorted(DIFF_DOMAINS)), st.integers(0, 2**32), st.booleans())
+def test_canonical_agrees_with_the_round_trip_on_sampled_payloads(name, seed, integral):
+    domain = DIFF_DOMAINS[name]
+    a = domain.engine.sample_ideal(random.Random(seed), SPEC, integral)
+    assert _agrees_with_round_trip(domain, a)  # every built payload is canonical
+
+
+@st.composite
+def raw_payloads(draw):
+    """A domain and a payload assembled from raw fields: a generator tuple, or
+    a row tuple at a closed level, or a closed segment in some group."""
+    from semistar.algebra import Segment, Subspace, ValueGroup
+    from semistar.algebra.linalg import rref
+    from semistar.dplusm import LeveledModule
+    from semistar.numsgr import MonomialIdeal
+
+    domain = DIFF_DOMAINS[draw(st.sampled_from(sorted(DIFF_DOMAINS)))]
+    eng = domain.engine
+    if domain.family == "numsgr":
+        return domain, MonomialIdeal(domain.payload, tuple(draw(st.lists(st.integers(-4, 14), max_size=5))))
+    kind = draw(st.sampled_from([domain.payload_group.kind] * 3 + list(ValueGroup.KINDS)))
+    group = ValueGroup(kind)
+    level = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3))) if kind == "ZxZ" else draw(st.integers(-3, 3))
+    hull = Segment.closed(group, level)
+    if domain.family == "valuation":
+        return domain, hull
+    K = eng.K
+    if K.base is _F5:
+        entry = st.integers(-1, 5)  # the residues, and one out of range on each side
+    else:
+        entry = st.sampled_from([0, 0, 1, Fraction(-1, 2)])
+    rows = draw(st.none() | st.lists(st.tuples(*[entry] * K.degree), max_size=K.degree))
+    if rows and draw(st.booleans()):  # reduced rows, one entry of them maybe redrawn
+        rows = list(rref(K.base, rows, K.degree)[0])
+        if rows and draw(st.booleans()):
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, K.degree - 1))
+            rows[i] = rows[i][:j] + (draw(entry),) + rows[i][j + 1:]
+    return domain, LeveledModule(domain.payload, hull, None if rows is None else Subspace(K, tuple(rows)))
+
+
+def _two_row_jump(name, rows):
+    from semistar.algebra import Segment, Subspace
+    from semistar.dplusm import LeveledModule
+
+    domain = DIFF_DOMAINS[name]
+    return domain, LeveledModule(domain.payload, Segment.closed(domain.payload_group, 1), Subspace(domain.engine.K, rows))
+
+
+@DIFFERENTIAL
+@given(raw_payloads())
+@example(_two_row_jump("F125 over Z", ((1, 0, 2), (0, 1, 3))))
+@example(_two_row_jump("F125 over Z", ((1, 0, 7), (0, 1, 3))))  # 7 is no residue mod 5
+@example(_two_row_jump("Q(cbrt2) over Q", ((1, 0, Fraction(1, 2)), (0, 1, 0))))
+@example(_two_row_jump("Q(cbrt2) over Q", ((1, 1, 0), (0, 1, 0))))  # a pivot not alone in its column
+@example(_two_row_jump("Q(cbrt2) over Q", ((0, 1, 0), (1, 0, 0))))  # pivot columns decreasing
+def test_canonical_agrees_with_the_round_trip_on_raw_payloads(case):
+    _agrees_with_round_trip(*case)
+
+
+def test_make_handle_builds_nothing(monkeypatch, dom_345, dom_pvd, dom_318, dom_vq, K_f5):
+    """The canonical check reads a payload's fields: no normalization, no
+    module from generators and no row reduction run inside make_handle."""
+    from semistar import dplusm, numsgr
+    from semistar.algebra import linalg
+
+    domains = (dom_345, dom_pvd, dom_318, dom_vq, pullback_domain(K_f5, "Z", "pvd-f5"))
+    rng = SPEC.rng("builds-nothing")
+    payloads = [(d, d.engine.sample_ideal(rng, SPEC)) for d in domains for _ in range(20)]
+    calls = []
+
+    def counted(name, f):
+        def spy(*args):
+            calls.append(name)
+            return f(*args)
+        return spy
+
+    for owner, name in ((numsgr, "ideal_normalize"), (dplusm, "module_from_generators"), (linalg, "rref")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    handles = [make_handle(d, a) for d, a in payloads]
+    assert calls == []
+    for h in handles:  # the spies see the round trip that the check replaced
+        if h.finitely_generated:
+            h.domain.engine.regenerate(h.fg_witness)
+    assert set(calls) == {"ideal_normalize", "module_from_generators", "rref"}
 
 
 class _RejectedRng:
