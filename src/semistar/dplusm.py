@@ -105,6 +105,8 @@ def make_module(domain: PullbackDomain, hull: Segment, space: "Subspace | None" 
         return LeveledModule(domain, hull)
     if space.is_zero():
         return LeveledModule(domain, Segment.open(domain.group, hull.cut))
+    if hull.minimum() is None:
+        raise AlgebraError("a proper jump space needs a hull with a minimum")
     return LeveledModule(domain, hull, space)
 
 
@@ -271,8 +273,21 @@ def localize_at(seg: Segment) -> Segment:
 
     The projected cut is closed iff some preimage level at that projected
     value lies in the segment; with canonical (closed) lex segments this is
-    always the case.
+    always the case: {g >= (a, b)} contains (a, max(b, n)) for every n.
     """
+    return _coarsened(seg, 0)
+
+
+def localized_core(seg: Segment) -> Segment:
+    """The reverse of `localize_at`: the largest module over the localization
+    at the height-one prime inside a lex-group segment, projected the same
+    way.  {g >= (a, b)} misses (a, b - 1), so that module is {g : g_1 >= a + 1};
+    the whole group is its own."""
+    return _coarsened(seg, 1)
+
+
+def _coarsened(seg: Segment, step: int) -> Segment:
+    """The first-coordinate image of a lex-group segment, its cut moved up by step."""
     if seg.group.kind != "ZxZ":
         raise AlgebraError("localization needs the rank-2 lex group")
     out_group = ValueGroup("Z")
@@ -280,6 +295,4 @@ def localize_at(seg: Segment) -> Segment:
         return Segment.whole(out_group)
     if seg.is_empty():
         return Segment.empty(out_group)
-    # {g >= (a, b)} contains (a, max(b, n)) for every n, so value a projects in
-    return Segment.closed(out_group, seg.cut[0])
-
+    return Segment.closed(out_group, seg.cut[0] + step)

@@ -5,7 +5,8 @@ spectral, finite-type, stable, tilde, ascent, descent}.  Evaluation and the
 predicate layer are written once for every domain.  The family only decides
 how an ideal is stored, and that belongs to the engine of a DomainHandle;
 only the engine table (`DomainHandle.engine`) and `exprs.parse_domain` read
-the family string.  The three engines expose the same names, duck-typed:
+the family string.  The three engines subclass `_Engine`, which holds the
+shared defaults, and expose the same names:
 
 - payload arithmetic (`add`, `colon`, `v`, `extend`, `scale`, `leq`, ...);
 - generator lists: `finitely_generated(a)` says whether one exists,
@@ -25,14 +26,18 @@ the family string.  The three engines expose the same names, duck-typed:
   operation), `spectrum_decidable` (M is the only prime to test);
 - the overring: `overring(dom)`, `to_overring(e, over)`, `from_overring`;
 - localization at P1, rank-2 valuation engine only: `localized(dom)`, and
-  `localize` / `localize_scalar` project a payload and a scalar;
+  `localize` / `localize_core` / `localize_scalar` project a payload, its
+  largest submodule over the localization, and a scalar;
 - the segment view of valuation and pullback payloads: `tail(a)` of a
   payload without a jump, `hull(a)` = a V, and `from_tail(seg)`.
 
 The operands of a binary handle operation share one domain.  The handle
 layer checks that once (`_shares_domain`) and raises an AlgebraError for
 operands over two domains; the payload functions assume it, and payloads
-are canonical, so payloads are compared with `==`.
+are canonical, so payloads are compared with `==`; only `handle_leq` (so
+`handle_eq`) also compares across the localization at P1.  `ops_equal_on`
+and `op_leq` walk a universe once; it starts with D and M, as
+`classify.probe_ideals` builds it, or they raise an AlgebraError.
 
 Evaluation is compiled once per (domain, op): `compile_op`, reached through
 `dom.fact`, gives a CompiledOp whose `run` maps an ideal to its image and
@@ -48,7 +53,6 @@ UnsupportedOperation; nothing is ever silently approximated.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -316,14 +320,26 @@ def handle_inverse(a: IdealHandle) -> IdealHandle:
     return handle_colon(unit_handle(a.domain), a)
 
 
+def _localizes(loc: DomainHandle, dom: DomainHandle) -> bool:
+    """loc is the localization of dom at its coarsening prime P1."""
+    try:
+        over = dom.localized
+    except UnsupportedOperation:
+        return False
+    return over is not dom and loc.payload == over.payload
+
+
 def handle_leq(a: IdealHandle, b: IdealHandle) -> bool:
     if _shares_domain(a, b):
         return a.domain.engine.leq(a.payload, b.payload)
-    # mixed comparison across a spectral localization: localize a first
-    projected = a.domain.engine.localize(a.payload)
-    if b.domain.payload != a.domain.localized.payload:
-        raise AlgebraError("handles over incomparable domains")
-    return projected.leq(b.payload)
+    # across the localization at P1: E lies in a module F of the localization
+    # exactly when E V_P1 does, and F lies in E exactly when F lies in the
+    # largest such module inside E
+    if _localizes(b.domain, a.domain):
+        return b.domain.engine.leq(a.domain.engine.localize(a.payload), b.payload)
+    if _localizes(a.domain, b.domain):
+        return a.domain.engine.leq(a.payload, b.domain.engine.localize_core(b.payload))
+    raise AlgebraError("handles over incomparable domains")
 
 
 def handle_eq(a: IdealHandle, b: IdealHandle) -> bool:
@@ -348,34 +364,6 @@ def _group_capabilities(group: ValueGroup) -> frozenset:
 _VALUATION_CAPABILITIES = frozenset({"local", "valuation", "all_ops_stable", "integrally_closed"})
 
 
-def _no_coarsening_prime(self, *_):
-    raise UnsupportedOperation("coarsening primes exist only on the rank-2 valuation instance")
-
-
-def _incomparable(self, a):
-    raise AlgebraError("handles over incomparable domains")
-
-
-def _fmt_monomials(self, gens) -> str:
-    return "<" + ", ".join(f"{self.K.fmt(c)}*t({self.group.fmt(g)})" for c, g in gens) + ">"
-
-
-def _has_minimum(self, a) -> bool:
-    return self.hull(a).minimum() is not None
-
-
-def _fmt_segment_payload(self, a) -> str:
-    witness = self.fg_witness(a)
-    if witness is not None:
-        return self.fmt_gens(witness)
-    tail = self.tail(a)
-    return "K" if tail.is_whole() else f"t({self.group.fmt(tail.cut)})*M"
-
-
-def _no_ideal_window(self):
-    return None
-
-
 def _level_one(group: ValueGroup):
     return (1, 0) if group.kind == "ZxZ" else group.coerce(1)
 
@@ -391,9 +379,49 @@ def _positive_levels(group: ValueGroup, rng):
             yield g
 
 
-class _NumsgrEngine:
+class _Engine:
+    """The protocol's shared defaults, each overridden where a family
+    differs: the formatting and finite generation of the segment view, and
+    no localization at P1."""
+
+    K = None  # the coefficient field; None for bare monomials
+    group = None  # the value group; None for a semigroup ring
+
+    @property
+    def spectrum_decidable(self) -> bool:
+        return self.group.kind != "ZxZ"  # rank 2 has a second nonzero prime
+
+    def finitely_generated(self, a) -> bool:
+        return self.hull(a).minimum() is not None
+
+    def sample_fg_ideal(self, rng, spec, integral=False):
+        for _ in range(SAMPLE_ATTEMPTS):
+            a = self.sample_ideal(rng, spec, integral)
+            if self.finitely_generated(a):
+                return a
+        raise AlgebraError(f"no finitely generated sample in {SAMPLE_ATTEMPTS} attempts")
+
+    def ideal_window(self):
+        return None
+
+    def localized(self, *_):
+        raise UnsupportedOperation("coarsening primes exist only on the rank-2 valuation instance")
+
+    localize = localize_core = localize_scalar = localized  # no coarsening prime: every P1 hook raises
+
+    def fmt_gens(self, gens) -> str:
+        return "<" + ", ".join(f"{self.K.fmt(c)}*t({self.group.fmt(g)})" for c, g in gens) + ">"
+
+    def fmt(self, a) -> str:
+        witness = self.fg_witness(a)
+        if witness is not None:
+            return self.fmt_gens(witness)
+        tail = self.tail(a)
+        return "K" if tail.is_whole() else f"t({self.group.fmt(tail.cut)})*M"
+
+
+class _NumsgrEngine(_Engine):
     capabilities = frozenset({"noetherian", "local", "all_fg"})
-    K = None  # monomial ideals never see the coefficient field
     overring_atom = False  # the hull K[[x]] is neither an atom nor a landmark
     homogeneous = False
     spectrum_decidable = True
@@ -459,8 +487,6 @@ class _NumsgrEngine:
         vals = [rng.randint(lo, hi) for _ in range(n)]
         return numsgr.ideal_normalize(self.ring, vals)
 
-    sample_fg_ideal = sample_ideal  # every monomial ideal is finitely generated
-
     def proper_subideal_samples(self, rng):
         raise UnsupportedOperation("no certified cofinal family below M for this ring")
 
@@ -484,9 +510,6 @@ class _NumsgrEngine:
     def from_overring(self, dom, h):
         return make_handle(dom, numsgr.hull_extension(numsgr.ideal_shift(self.unit(), min(h.payload.gens))))
 
-    localized = localize_scalar = _no_coarsening_prime
-    localize = _incomparable  # reached only by comparing handles of two domains
-
     def tail(self, a):
         raise UnsupportedOperation("semigroup-ring ideals have no segment view")
 
@@ -499,25 +522,18 @@ class _NumsgrEngine:
         return self.fmt_gens(a.gens)
 
 
-class _ValuationEngine:
+class _ValuationEngine(_Engine):
     overring_atom = True
     homogeneous = True  # every segment is a shift of the unit or the maximal ideal
 
     def __init__(self, vd: ValuationDomain):
         self.vd = vd
         self.group = vd.group
+        self.K = vd.residue_ext
 
     @cached_property
     def capabilities(self) -> frozenset:
         return _VALUATION_CAPABILITIES | _group_capabilities(self.group)
-
-    @property
-    def K(self):
-        return self.vd.residue_ext
-
-    @property
-    def spectrum_decidable(self) -> bool:
-        return self.group.kind != "ZxZ"  # rank 2 has a second nonzero prime
 
     def unit(self):
         return self.vd.unit_segment()
@@ -563,8 +579,6 @@ class _ValuationEngine:
         c = a.minimum()
         return None if c is None else ((self.K.one, c),)
 
-    finitely_generated = _has_minimum
-
     def regenerate(self, witness):
         return Segment.closed(self.group, min(self.group.coerce(c) for _, c in witness))  # units of V drop out
 
@@ -590,8 +604,6 @@ class _ValuationEngine:
     def proper_subideal_samples(self, rng):
         return [Segment.closed(self.group, g) for g in _positive_levels(self.group, rng)]
 
-    ideal_window = _no_ideal_window
-
     def landmark_pairs(self):
         return []
 
@@ -615,6 +627,11 @@ class _ValuationEngine:
         """Project a lex-group payload to the localization at P1."""
         return dplusm.localize_at(a)
 
+    def localize_core(self, a):
+        """The largest submodule of a lex-group payload over the localization
+        at P1, projected there."""
+        return dplusm.localized_core(a)
+
     def localize_scalar(self, scalar):
         return scalar[0]  # the coarsened first coordinate
 
@@ -623,34 +640,24 @@ class _ValuationEngine:
 
     hull = from_tail = tail
 
-    fmt_gens = _fmt_monomials
-    fmt = _fmt_segment_payload
 
-
-class _PullbackEngine:
+class _PullbackEngine(_Engine):
     overring_atom = True
     homogeneous = False
 
     def __init__(self, pd: PullbackDomain):
         self.pd = pd
         self.group = pd.group
+        self.K = pd.residue_ext
 
     @cached_property
     def _unit(self):
         return dplusm.unit_module(self.pd)
 
-    @property
-    def spectrum_decidable(self) -> bool:
-        return self.group.kind != "ZxZ"  # P1 inside M is a second nonzero prime of k + M
-
     @cached_property
     def capabilities(self) -> frozenset:
         caps = frozenset({"local"}) | _group_capabilities(self.group)
         return caps if self.pd.is_proper else caps | _VALUATION_CAPABILITIES
-
-    @property
-    def K(self):
-        return self.pd.residue_ext
 
     def unit(self):
         return self._unit
@@ -692,8 +699,6 @@ class _PullbackEngine:
     def fg_witness(self, a):
         return dplusm.fg_witness(a)
 
-    finitely_generated = _has_minimum
-
     def regenerate(self, witness):
         return dplusm.module_from_generators(self.pd, list(witness))
 
@@ -721,21 +726,12 @@ class _PullbackEngine:
         shape = "closed" if (roll < 0.8 or self.group.discrete) else "open"
         return self.from_tail(Segment.make(self.group, shape, level))
 
-    def sample_fg_ideal(self, rng, spec, integral=False):
-        for _ in range(SAMPLE_ATTEMPTS):
-            m = self.sample_ideal(rng, spec, integral)
-            if self.finitely_generated(m):
-                return m
-        raise AlgebraError(f"no finitely generated sample in {SAMPLE_ATTEMPTS} attempts")
-
     def proper_subideal_samples(self, rng):
         out = []
         for g in _positive_levels(self.group, rng):
             out.append(dplusm.module_from_generators(self.pd, [(self.K.one, g)]))
             out.append(self.from_tail(Segment.closed(self.group, g)))
         return out
-
-    ideal_window = _no_ideal_window
 
     def landmark_pairs(self):
         """t D and (a t) D: principal ideals told apart only by k inside K."""
@@ -758,9 +754,6 @@ class _PullbackEngine:
     def from_overring(self, dom, h):
         return make_handle(dom, self.from_tail(h.payload))
 
-    localized = localize_scalar = _no_coarsening_prime
-    localize = _incomparable  # reached only by comparing handles of two domains
-
     def tail(self, a):
         seg = dplusm.full_segment(a)
         if seg is None:
@@ -772,9 +765,6 @@ class _PullbackEngine:
 
     def from_tail(self, seg):
         return dplusm.make_module(self.pd, seg)
-
-    fmt_gens = _fmt_monomials
-    fmt = _fmt_segment_payload
 
 
 _ENGINES = {"numsgr": _NumsgrEngine, "pullback": _PullbackEngine, "valuation": _ValuationEngine}
@@ -1014,16 +1004,18 @@ def op_closed_form(op: SemistarOp, dom: DomainHandle) -> "str | None":
         return None
 
 
-def _form_separating_probe(form1: str, form2: str, dom: DomainHandle) -> IdealHandle:
-    pair = {form1, form2}
-    if pair == {"identity", "colon-M"}:
-        return maximal_handle(dom)  # (M : M) is the overring, never M
-    return unit_handle(dom)
+def _universe_domain(universe) -> DomainHandle:
+    """The domain of a universe led by D and M, which decide every operation
+    on a valuation domain (Gilmer, Multiplicative Ideal Theory, 1972)."""
+    dom = universe[0].domain if len(universe) else None
+    if dom is None or tuple(universe[:2]) != (dom.unit, dom.maximal):
+        raise AlgebraError("a comparison universe starts with D and M, as probe_ideals builds it")
+    return dom
 
 
 def ops_equal_on(op1: SemistarOp, op2: SemistarOp, universe) -> Verdict:
     """Equality of two operations, decided exactly where the family allows."""
-    dom = universe[0].domain
+    dom = _universe_domain(universe)
     if op1 == op2:
         return holds("same-term")
     for e in universe:
@@ -1031,29 +1023,20 @@ def ops_equal_on(op1: SemistarOp, op2: SemistarOp, universe) -> Verdict:
             return refuted(e, detail="operations differ at this ideal")
     f1, f2 = op_closed_form(op1, dom), op_closed_form(op2, dom)
     if f1 is not None and f2 is not None:
-        if f1 == f2:
-            return holds("closed-forms-agree", detail=f"both reduce to {f1}")
-        probe = _form_separating_probe(f1, f2, dom)
-        if handle_eq(apply(op1, probe), apply(op2, probe)):
-            raise ConsistencyError("closed forms disagree but the probe does not separate")
-        return refuted(probe, detail=f"closed forms differ: {f1} vs {f2}")
-    if dom.engine.homogeneous:
-        # homogeneity: a segment is a shift of the unit or the maximal ideal,
-        # so agreement on those two decides agreement everywhere
-        for probe in (unit_handle(dom), maximal_handle(dom)):
-            if not handle_eq(apply(op1, probe), apply(op2, probe)):
-                return refuted(probe, detail="operations differ at this ideal")
+        if f1 != f2:
+            raise ConsistencyError(f"closed forms {f1} and {f2} differ but agree on D and M")
+        return holds("closed-forms-agree", detail=f"both reduce to {f1}")
+    if dom.engine.homogeneous:  # every ideal is a shift of D or M, and the walk saw both
         return holds("determined-by-unit-and-maximal")
     return unknown(len(universe), detail="agree on the whole universe")
 
 
 def op_leq(op1: SemistarOp, op2: SemistarOp, universe) -> Verdict:
+    dom = _universe_domain(universe)
     tag = op_leq_syntactic(op1, op2)
     if tag is not None:
         return holds(tag)
-    dom = universe[0].domain
-    homogeneous = dom.engine.homogeneous  # then D and M decide every ideal
-    for e in itertools.chain(universe, (unit_handle(dom), maximal_handle(dom)) if homogeneous else ()):
+    for e in universe:
         if not handle_leq(apply(op1, e), apply(op2, e)):
             return refuted(e, detail="first operation is not below the second here")
-    return holds("determined-by-unit-and-maximal") if homogeneous else unknown(len(universe))
+    return holds("determined-by-unit-and-maximal") if dom.engine.homogeneous else unknown(len(universe))

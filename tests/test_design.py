@@ -1,12 +1,13 @@
 """Design guards: the family string is read in two places only, the three
-ideal engines answer to the same names, only the groups module knows how a
-segment is stored, and only the dplusm module knows how a leveled module is
-stored."""
+ideal engines share one base class and answer to the same names, only the
+groups module knows how a segment is stored, and only the dplusm module knows
+how a leveled module is stored."""
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import inspect
 import pathlib
 
 from semistar import operations
@@ -83,6 +84,33 @@ def test_the_engines_expose_the_same_public_names():
     names = {e.__name__: frozenset(n for n in dir(e) if not n.startswith("_")) for e in engines}
     union = frozenset().union(*names.values())
     assert {name: sorted(union - got) for name, got in names.items()} == {name: [] for name in names}
+
+
+def _bound_functions(cls):
+    """Class attributes that are functions defined outside the class body,
+    such as a module-level stub bound under an engine name."""
+    return sorted(
+        name for name, attr in vars(cls).items()
+        if inspect.isfunction(attr) and attr.__qualname__.rpartition(".")[0] != cls.__qualname__
+    )
+
+
+def test_the_guard_sees_a_bound_module_function():
+    planted = (
+        "def stub(self, a):\n    raise ValueError\n\n"
+        "class Engine:\n    localize = stub\n\n    def tail(self, a):\n        return a\n\n    hull = tail\n"
+    )
+    namespace = {}
+    exec(planted, namespace)
+    assert _bound_functions(namespace["Engine"]) == ["localize"]
+
+
+def test_every_engine_subclasses_the_base_and_binds_no_module_function():
+    engines = set(operations._ENGINES.values())
+    assert all(issubclass(e, operations._Engine) for e in engines)
+    assert {e.__name__: _bound_functions(e) for e in (operations._Engine, *engines)} == {
+        e.__name__: [] for e in (operations._Engine, *engines)
+    }
 
 
 def _segment_key_uses(source: str):

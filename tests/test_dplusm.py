@@ -14,6 +14,7 @@ from semistar.dplusm import (
     extend_to_V,
     fg_witness,
     localize_at,
+    localized_core,
     make_module,
     maximal_module,
     module_colon,
@@ -163,6 +164,8 @@ def test_canonical_rejects_bad_shapes(pd_q, K_quad):
         make_module(pd_q, Segment.empty(group))  # zero module
     with pytest.raises(AlgebraError):
         make_module(pd_q, Segment.closed(ValueGroup("Z"), 0))  # hull over another group
+    with pytest.raises(AlgebraError, match="minimum"):  # a jump space where the hull has no minimum
+        make_module(pd_q, Segment.open(group, 1), Subspace.span(K_quad, [K_quad.gen()]))
     w = Subspace.span(K_quad, [K_quad.one])
     assert make_module(pd_q, Segment.closed(group, 0), Subspace.full(K_quad)).space is None
     assert make_module(pd_q, Segment.closed(group, 0), Subspace.zero(K_quad)) == maximal_module(pd_q)
@@ -442,8 +445,13 @@ def test_localize_at_examples():
     assert localize_at(Segment.closed(lex, (1, -3))) == Segment.closed(z, 1)
     assert localize_at(Segment.open(lex, (0, 0))) == Segment.closed(z, 0)
     assert localize_at(Segment.whole(lex)) == Segment.whole(z)
-    with pytest.raises(AlgebraError):
-        localize_at(Segment.closed(ValueGroup("Q"), 1))
+    assert localized_core(Segment.closed(lex, (1, 5))) == Segment.closed(z, 2)
+    assert localized_core(Segment.closed(lex, (1, -3))) == Segment.closed(z, 2)
+    assert localized_core(Segment.open(lex, (0, 0))) == Segment.closed(z, 1)
+    assert localized_core(Segment.whole(lex)) == Segment.whole(z)
+    for project in (localize_at, localized_core):
+        with pytest.raises(AlgebraError):
+            project(Segment.closed(ValueGroup("Q"), 1))
 
 
 def test_localize_against_lex_enumeration():
@@ -452,7 +460,8 @@ def test_localize_against_lex_enumeration():
     for _ in range(60):
         cut = (rng.randint(-4, 4), rng.randint(-4, 4))
         seg = Segment.closed(lex, cut)
-        proj = localize_at(seg)
+        proj, core = localize_at(seg), localized_core(seg)
         for first in range(-6, 7):
-            expected = any(seg.contains((first, b)) for b in range(-40, 41))
-            assert proj.contains(first) == expected
+            line = [seg.contains((first, b)) for b in range(-40, 41)]
+            assert proj.contains(first) == any(line)
+            assert core.contains(first) == all(line)  # the core keeps the lines wholly inside

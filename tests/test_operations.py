@@ -46,6 +46,7 @@ from semistar.operations import (
     w_op,
 )
 from semistar.classify import probe_ideals
+from semistar.exprs import parse_op
 from semistar.verdict import SampleSpec
 
 SPEC = SampleSpec(seed=2, count=40)
@@ -218,6 +219,19 @@ def test_spectral_localization(dom_lex):
     assert handle_eq(apply(spec_op("M"), m), m)
 
 
+def test_comparisons_across_the_localization_return_a_bool(dom_lex):
+    """E V_P1 holds E; it lies back in E only when E is a V_P1-module, as the
+    whole group is and the maximal ideal is not."""
+    p1 = spec_op("P1")
+    whole = make_handle(dom_lex, dom_lex.engine.whole())
+    for e, fixed in ((maximal_handle(dom_lex), False), (unit_handle(dom_lex), False), (whole, True)):
+        image = apply(p1, e)
+        assert handle_leq(e, image) is True
+        assert handle_leq(image, e) is fixed
+        assert handle_eq(e, image) is fixed
+        assert handle_eq(image, e) is fixed
+
+
 def test_binary_operations_refuse_operands_over_two_domains(QQ, K_quad, K_triv, dom_345, dom_pvd, dom_vq, dom_vz):
     from semistar.algebra import ExtensionField
 
@@ -250,6 +264,66 @@ def test_op_ordering_verdicts(dom_vq, dom_318):
     eq = ops_equal_on(tilde_op(st_op("V")), st_op("V"), universe318)
     assert eq.is_refuted  # D maps to D under tilde but to V under the extension
     assert ops_equal_on(w_op(), d_op(), probe_ideals(dom_vq, SPEC, n=30)).is_holds
+
+
+def test_comparisons_reject_a_universe_not_led_by_d_and_m(dom_vq, dom_vz, dom_345):
+    universe = probe_ideals(dom_vq, SPEC, n=10)
+    unit, maximal = universe[:2]
+    for bad in ([], universe[1:], [maximal, unit, *universe[2:]], universe[2:],
+                [unit, maximal_handle(dom_vz)], [unit_handle(dom_345), maximal]):
+        for compare in (ops_equal_on, op_leq):
+            with pytest.raises(AlgebraError, match="starts with D and M"):
+                compare(t_op(), v_op(), bad)
+            with pytest.raises(AlgebraError, match="starts with D and M"):
+                compare(d_op(), d_op(), bad)  # the syntactic shortcuts come after the check
+    assert ops_equal_on(t_op(), v_op(), universe[:2]).is_refuted
+
+
+def _closed_form_pairs():
+    """(domain, op1, op2) over the catalog instances: every pair of two
+    different closed forms among op, ft(op), tilde(op), bar(op) and
+    ft(bar(op)), op ranging over every operation the catalog names and the
+    three overring extensions.  spec{P1} changes the domain and is skipped,
+    as `--suite` skips it."""
+    from semistar.operations import op_closed_form
+    from semistar.scenarios import INSTANCE_CATALOG, catalog_instances
+
+    texts = sorted({t for _, ts in INSTANCE_CATALOG for t in ts} - {"spec{P1}"} | {"st[V]", "st[ic]", "st[K]"})
+    out = []
+    for domain, _ in catalog_instances():
+        derived = {}
+        for op in map(parse_op, texts):
+            for o in (op, ft_op(op), tilde_op(op), bar_op(op), ft_op(bar_op(op))):
+                derived.setdefault(o, op_closed_form(o, domain))
+        closed = [(o, form) for o, form in derived.items() if form is not None]
+        out += [(domain, o1, o2) for i, (o1, f1) in enumerate(closed) for o2, f2 in closed[i + 1:] if f1 != f2]
+    return out
+
+
+def test_distinct_closed_forms_are_refuted_at_d_or_m():
+    """The walk refutes every pair of operations with two different closed
+    forms at D or M, or meets an operation that is not representable, so
+    no closed-form comparison needs a probe of its own."""
+    refuted = 0
+    for domain, o1, o2 in _closed_form_pairs():
+        try:
+            verdict = ops_equal_on(o1, o2, probe_ideals(domain, SPEC, n=32))
+        except UnsupportedOperation:
+            continue  # st[K] on a semigroup ring: the quotient field is not representable
+        assert verdict.is_refuted, (domain, o1, o2)
+        assert verdict.witness[0] in (unit_handle(domain), maximal_handle(domain)), (domain, o1, o2)
+        refuted += 1
+    assert refuted >= 100
+
+
+def test_a_closed_form_disagreement_the_walk_misses_is_a_consistency_error(monkeypatch, dom_vq):
+    from semistar import operations
+    from semistar.operations import ConsistencyError
+
+    # d and spec{M} agree everywhere; give them two different closed forms
+    monkeypatch.setattr(operations, "op_closed_form", lambda op, dom: op_to_text(op))
+    with pytest.raises(ConsistencyError, match="differ but agree on D and M"):
+        ops_equal_on(d_op(), spec_op("M"), probe_ideals(dom_vq, SPEC, n=10))
 
 
 def test_fg_witness_regeneration(dom_pvd, dom_318, dom_345):
