@@ -805,20 +805,25 @@ def compile_op(op: SemistarOp, dom: DomainHandle) -> CompiledOp:
     if op.kind == "identity" or (op.kind == "spec" and op.tag == "M"):
         return _IDENTITY  # spec{M}: localization at the maximal ideal of a local domain
     if op.kind == "st" and op.tag == "K":
-        return _CONSTANT_K
+        return _constant_k(dom)
     if op.kind == "bar":
         return _compile_stable(op.inner, dom)
     if op.kind == "ft":
         return _compile_finite_type(op.inner, dom)
     if op.kind == "tilde":
         # local domain: E D_M = E when M is quasi-maximal, else E goes to K
-        return _IDENTITY if quasi_star_maximals(op.inner, dom) else _CONSTANT_K
+        return _IDENTITY if quasi_star_maximals(op.inner, dom) else _constant_k(dom)
     if op.kind not in _GENERIC:
         raise UnsupportedOperation(f"unknown operation kind {op.kind!r}")
     run = _GENERIC[op.kind]
     # integrally closed: the V extension fixes every ideal
     form = "identity" if op.kind == "st" and dom.engine.homogeneous else None
     return CompiledOp("generic", lambda e: run(op, e), form)
+
+
+def _constant_k(dom: DomainHandle) -> CompiledOp:
+    dom.engine.whole()  # raises where the engine cannot represent K
+    return _CONSTANT_K
 
 
 def _delegate(inner: SemistarOp, compiled: CompiledOp, form: "str | None") -> CompiledOp:

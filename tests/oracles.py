@@ -8,7 +8,8 @@ extension-field arithmetic are restated through the base field's generic
 methods, primality and irreducibility over F_p by trial division, and
 irreducibility over Q by the rational root theorem with trial-division
 divisors, as references for the integer kernels.  The cancellation search
-is restated as a closing walk over every triple within its budget.
+is restated as a closing walk over every triple within its budget.  The v
+closure of a monomial ideal is restated as two window colons, (S : (S : a)).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from semistar.algebra.linalg import Subspace
 from semistar.algebra.fields import SAMPLE_ATTEMPTS, common_denominator, poly_divmod, poly_trim
 from semistar.classify import _induced_by_valuation_overring, probe_ideals
 from semistar.dplusm import LeveledModule, PullbackDomain, make_module
-from semistar.numsgr import NumericalSemigroup
+from semistar.numsgr import MonomialIdeal, NumericalSemigroup, ideal_colon, ring_ideal
 from semistar.operations import IdealHandle, apply, handle_eq, handle_leq, handle_mul, make_handle, unit_handle
 from semistar.verdict import holds, refuted, unknown
 
@@ -389,6 +390,16 @@ def cancellation_reference(domain, op, spec, star_domain, fg_only: bool):
         if handle_leq(star(a, b), star(a, c)) and not handle_leq(star(None, b), star(None, c)):
             return refuted(e, f, g, detail="cancellation failure")
     return unknown(checked)
+
+
+# ---------------------------------------------------------------------------
+# the v closure of a monomial ideal by its definition
+
+def two_colon_v(a: MonomialIdeal) -> MonomialIdeal:
+    """v(a) = (S : (S : a)) by the windowed colon of semistar.numsgr, the
+    definition the Apery-table closure replaces."""
+    d = ring_ideal(a.ring)
+    return ideal_colon(d, ideal_colon(d, a))
 
 
 # ---------------------------------------------------------------------------

@@ -650,3 +650,28 @@ def test_theorem_suite_computes_h_clauses_once(monkeypatch, K_quad, K_triv):
         calls.clear()
         theorems.theorem_suite(domain, op, spec)
         assert len(calls) <= 1, f"{domain.name} with {op!r}: {calls}"
+
+
+def test_implication_and_biconditional_on_every_pair_of_outcomes():
+    """The suite's two combinators, fed every pair of outcomes: an
+    implication is a VIOLATION only when its hypothesis holds and its
+    conclusion is refuted, a biconditional whenever one side holds and the
+    other is refuted."""
+    from semistar.theorems import OK, UNDECIDED, VACUOUS, VIOLATION, _biconditional, _implication
+    from semistar.verdict import holds, refuted, unknown
+
+    verdicts = {"H": holds("tag"), "R": refuted("w"), "U": unknown(3)}
+    implication = {
+        "HH": OK, "HR": VIOLATION, "HU": OK,
+        "RH": VACUOUS, "RR": VACUOUS, "RU": VACUOUS,
+        "UH": UNDECIDED, "UR": UNDECIDED, "UU": UNDECIDED,
+    }
+    biconditional = {
+        "HH": OK, "HR": VIOLATION, "HU": UNDECIDED,
+        "RH": VIOLATION, "RR": OK, "RU": UNDECIDED,
+        "UH": UNDECIDED, "UR": UNDECIDED, "UU": UNDECIDED,
+    }
+    for pair in implication:
+        lhs, rhs = verdicts[pair[0]], verdicts[pair[1]]
+        assert _implication("c", lhs, rhs).outcome == implication[pair], pair
+        assert _biconditional("c", lhs, rhs).outcome == biconditional[pair], pair

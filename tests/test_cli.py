@@ -150,6 +150,20 @@ def test_hostile_extension_fails_fast_with_exit_2(path, capsys):
     assert err.startswith(("parse error: ", "error: ")) and err.count("\n") == 1
 
 
+AT_CAPS = sorted((pathlib.Path(__file__).parent / "caps").glob("*.domain"))
+
+
+@pytest.mark.parametrize("path", AT_CAPS, ids=[p.stem for p in AT_CAPS])
+def test_v_of_the_unit_at_the_caps_is_fast(path, capsys):
+    """The largest semigroups under the Frobenius cap (<173,175>) and the
+    generator cap (<1363, ..., 1426>) evaluate v(<x^0>) = <x^0> with exit
+    code 0 in under a second."""
+    start = time.perf_counter()
+    assert main(["--domain", str(path), "--expr", "v(<x^0>)"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out.strip() == "<x^0>"
+
+
 HOSTILE_EXPRS = sorted((pathlib.Path(__file__).parent / "hostile").glob("*.expr"))
 
 

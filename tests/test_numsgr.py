@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
+from functools import reduce
+from math import gcd
 
 import pytest
 
 from semistar.algebra import AlgebraError
 from semistar.numsgr import (
     MAX_FROBENIUS,
+    MAX_GENERATORS,
     NumericalSemigroup,
     enumerate_ideals,
     hull_extension,
@@ -25,7 +29,7 @@ from semistar.numsgr import (
     ring_ideal,
     v_closure,
 )
-from oracles import BitsetOracle
+from oracles import BitsetOracle, two_colon_v
 
 S345 = NumericalSemigroup.create([3, 4, 5])
 S23 = NumericalSemigroup.create([2, 3])
@@ -41,6 +45,20 @@ def test_semigroup_construction():
         NumericalSemigroup.create([4, 6])
     with pytest.raises(AlgebraError):
         NumericalSemigroup.create([0, 3])
+
+
+@pytest.mark.parametrize("gens", [[0, 3, 4], [-2, 3, 4], []], ids=["zero", "negative", "empty"])
+def test_nonpositive_generators_are_refused_as_such(gens):
+    # gcd 1 apart from the bad entry, so only the positivity check can refuse them
+    with pytest.raises(AlgebraError, match="generators must be positive"):
+        NumericalSemigroup.create(gens)
+
+
+def test_generator_cap_boundary():
+    assert MAX_GENERATORS == 64
+    assert len(NumericalSemigroup.create(range(64, 128)).generators) == 64
+    with pytest.raises(AlgebraError, match="^65 generators, above the cap 64$"):
+        NumericalSemigroup.create(range(64, 129))
 
 
 def test_frobenius_from_the_apery_set_and_its_cap():
@@ -138,6 +156,37 @@ def test_v_closure_is_a_closure():
     for a, b in zip(ideals, ideals[1:]):
         if ideal_leq(a, b):
             assert ideal_leq(v_closure(a), v_closure(b))
+
+
+def test_v_closure_matches_the_two_colon_definition():
+    """Seeded differential of the Apery-table v against (S : (S : a)) by
+    window colons: random semigroups with at most 5 generators, each at most
+    40, and random ideals shifted below and above 0."""
+    rng = random.Random(2305)
+    rings = 0
+    while rings < 60:
+        gens = rng.sample(range(1, 41), rng.randint(1, 5))
+        if reduce(gcd, gens) != 1:
+            continue
+        ring = NumericalSemigroup.create(gens)
+        rings += 1
+        for _ in range(6):
+            a = ideal_normalize(ring, [rng.randint(0, ring.conductor + 3) for _ in range(rng.randint(1, 4))])
+            a = ideal_shift(a, rng.randint(-2 * ring.conductor - 7, 7))
+            assert v_closure(a) == two_colon_v(a), (ring, a)
+
+
+def test_a_wrong_apery_table_trips_the_extensivity_check():
+    # residues 1 and 2 swapped: the table's entries leave their classes mod 3,
+    # and the computed v(D) misses D.  (A table that keeps each entry in its
+    # class always gives an extensive result; the check guards the residue
+    # bookkeeping.)
+    assert S345.apery == (0, 4, 5)
+    swapped = dataclasses.replace(S345, apery=(0, 5, 4))
+    assert swapped == S345  # the table takes no part in equality
+    for gens in ([0], [3, 4, 5]):
+        with pytest.raises(AlgebraError, match="not extensive"):
+            v_closure(ideal_normalize(swapped, gens))
 
 
 def test_product_colon_containments():

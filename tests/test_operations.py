@@ -279,41 +279,68 @@ def test_comparisons_reject_a_universe_not_led_by_d_and_m(dom_vq, dom_vz, dom_34
     assert ops_equal_on(t_op(), v_op(), universe[:2]).is_refuted
 
 
-def _closed_form_pairs():
-    """(domain, op1, op2) over the catalog instances: every pair of two
-    different closed forms among op, ft(op), tilde(op), bar(op) and
-    ft(bar(op)), op ranging over every operation the catalog names and the
-    three overring extensions.  spec{P1} changes the domain and is skipped,
-    as `--suite` skips it."""
-    from semistar.operations import op_closed_form
+def _derived_ops():
+    """(domain, ops) over the catalog instances: op, ft(op), tilde(op),
+    bar(op) and ft(bar(op)), op ranging over every operation the catalog
+    names and the three overring extensions.  spec{P1} changes the domain
+    and is skipped, as `--suite` skips it."""
     from semistar.scenarios import INSTANCE_CATALOG, catalog_instances
 
     texts = sorted({t for _, ts in INSTANCE_CATALOG for t in ts} - {"spec{P1}"} | {"st[V]", "st[ic]", "st[K]"})
+    derived = [o for op in map(parse_op, texts) for o in (op, ft_op(op), tilde_op(op), bar_op(op), ft_op(bar_op(op)))]
+    return [(domain, list(dict.fromkeys(derived))) for domain, _ in catalog_instances()]
+
+
+def _closed_form_pairs():
+    """(domain, op1, op2): every pair of two different closed forms among
+    the derived operations of a catalog instance."""
+    from semistar.operations import op_closed_form
+
     out = []
-    for domain, _ in catalog_instances():
-        derived = {}
-        for op in map(parse_op, texts):
-            for o in (op, ft_op(op), tilde_op(op), bar_op(op), ft_op(bar_op(op))):
-                derived.setdefault(o, op_closed_form(o, domain))
-        closed = [(o, form) for o, form in derived.items() if form is not None]
+    for domain, ops in _derived_ops():
+        closed = [(o, form) for o in ops if (form := op_closed_form(o, domain)) is not None]
         out += [(domain, o1, o2) for i, (o1, f1) in enumerate(closed) for o2, f2 in closed[i + 1:] if f1 != f2]
     return out
 
 
 def test_distinct_closed_forms_are_refuted_at_d_or_m():
     """The walk refutes every pair of operations with two different closed
-    forms at D or M, or meets an operation that is not representable, so
-    no closed-form comparison needs a probe of its own."""
+    forms at D or M, so no closed-form comparison needs a probe of its own."""
     refuted = 0
     for domain, o1, o2 in _closed_form_pairs():
-        try:
-            verdict = ops_equal_on(o1, o2, probe_ideals(domain, SPEC, n=32))
-        except UnsupportedOperation:
-            continue  # st[K] on a semigroup ring: the quotient field is not representable
+        verdict = ops_equal_on(o1, o2, probe_ideals(domain, SPEC, n=32))
         assert verdict.is_refuted, (domain, o1, o2)
         assert verdict.witness[0] in (unit_handle(domain), maximal_handle(domain)), (domain, o1, o2)
         refuted += 1
     assert refuted >= 100
+
+
+def test_a_closed_form_is_reported_only_for_an_operation_that_runs():
+    """A closed form is a theorem source, so op_closed_form is None for
+    every derived operation of a catalog instance that apply refuses on
+    some ideal of its universe."""
+    from semistar.operations import op_closed_form
+
+    raising = 0
+    for domain, ops in _derived_ops():
+        universe = probe_ideals(domain, SPEC, n=8)
+        for o in ops:
+            try:
+                for e in universe:
+                    apply(o, e)
+            except UnsupportedOperation:
+                assert op_closed_form(o, domain) is None, (domain, o)
+                raising += 1
+    assert raising > 0
+
+
+def test_st_k_on_a_semigroup_ring_has_no_closed_form(dom_345):
+    from semistar.operations import op_closed_form
+
+    assert op_closed_form(st_op("K"), dom_345) is None
+    for _ in range(2):  # the compiled failure is raised afresh each time
+        with pytest.raises(UnsupportedOperation, match="^the full quotient field of a semigroup ring is not representable$"):
+            apply(st_op("K"), unit_handle(dom_345))
 
 
 def test_a_closed_form_disagreement_the_walk_misses_is_a_consistency_error(monkeypatch, dom_vq):
