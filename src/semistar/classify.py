@@ -10,7 +10,6 @@ is fixed by the operation) and exhausted finite windows in semigroup rings.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from fractions import Fraction
 
@@ -20,6 +19,8 @@ from .operations import (
     ConsistencyError,
     DomainHandle,
     IdealHandle,
+    ImageTable,
+    Replay,
     SemistarOp,
     UnsupportedMaximalSpectrum,
     UnsupportedOperation,
@@ -50,48 +51,25 @@ from .verdict import SampleSpec, Verdict, holds, refuted, unknown
 # ---------------------------------------------------------------------------
 # sampling universes
 
-class _Stream:
-    """The drawn prefix of one seeded stream, its rng, and the failure that
-    ended it (type and arguments), if any."""
-
-    __slots__ = ("domain", "rng", "drawn", "error")
-
-    def __init__(self, domain, rng):
-        self.domain = domain  # keeps id(domain) from being reused while the entry lives
-        self.rng = rng
-        self.drawn = []
-        self.error = None
-
-
 def seeded(domain: DomainHandle, spec: SampleSpec, salt: str, draw, n: int):
-    """The first n items of the seeded stream draw(rng), draw(rng), ... with
-    rng = spec.rng(salt), each index drawn once per spec: the first consumer
-    to reach an index draws it, every later one replays it, so each consumer
-    reads the same items in the same order however far it reads, and n <= 0
-    reads none.  The salt must name the draw.  An AlgebraError or
-    ConsistencyError at index k is kept as its type and arguments and raised
-    afresh at index k on every replay."""
+    """The first n items (none for n <= 0) of the seeded stream draw(rng),
+    draw(rng), ... with rng = spec.rng(salt), a `Replay` kept on the spec:
+    each index is drawn once per spec.  The salt must name the draw."""
     key = (id(domain), salt)
-    stream = spec.draws.get(key)
-    if stream is None:
-        stream = spec.draws[key] = _Stream(domain, spec.rng(salt))
-    drawn = stream.drawn
-    for k in range(n):
-        if k == len(drawn) and stream.error is None:
-            try:
-                drawn.append(draw(stream.rng))
-            except (AlgebraError, ConsistencyError) as exc:
-                stream.error = (type(exc), exc.args)
-        if k == len(drawn):
-            error, args = stream.error
-            raise error(*args)
-        yield drawn[k]
+    if key not in spec.draws:
+        rng = spec.rng(salt)
+        # repeat(domain) keeps id(domain) from being reused while the entry lives
+        spec.draws[key] = Replay(draw(rng) for _ in itertools.repeat(domain))
+    return itertools.islice(spec.draws[key], max(n, 0))
 
 
 def _sampler(domain: DomainHandle, spec: SampleSpec, fg=True, integral=False):
-    """One seeded draw of the domain's engine, as a handle."""
-    sample = domain.engine.sample_fg_ideal if fg else domain.engine.sample_ideal
-    return lambda rng: make_handle(domain, sample(rng, spec, integral=integral))
+    """One seeded draw of the domain's engine, as a handle.  It holds the spec
+    weakly, as the spec keeps the stream that keeps the draw: no cycle."""
+    from weakref import ref
+
+    sample, held = domain.engine.sample_fg_ideal if fg else domain.engine.sample_ideal, ref(spec)
+    return lambda rng: make_handle(domain, sample(rng, held(), integral=integral))
 
 
 def probe_stream(domain: DomainHandle, spec: SampleSpec, n=None, integral=False, fg=False):
@@ -129,18 +107,17 @@ def fg_pair_stream(domain: DomainHandle, spec: SampleSpec, n=None):
                   n if n is not None else spec.count)
 
 
-def fg_ideal_pairs(domain: DomainHandle, spec: SampleSpec, n=None):
-    """The whole of `fg_pair_stream` as a list."""
-    return list(fg_pair_stream(domain, spec, n))
-
-
 # ---------------------------------------------------------------------------
 # invertibility and finiteness
 
-def is_star_invertible(op: SemistarOp, i: IdealHandle) -> bool:
-    dom = i.domain
-    prod = handle_mul(i, handle_inverse(i))
-    return handle_eq(apply(op, prod), unit_image(op, dom))
+def is_star_invertible(op: SemistarOp, i: IdealHandle, prod: "IdealHandle | None" = None) -> bool:
+    prod = handle_mul(i, handle_inverse(i)) if prod is None else prod  # F (D:F), from a table when held
+    return handle_eq(apply(op, prod), unit_image(op, i.domain))
+
+
+def invertibility_products(domain: DomainHandle, spec: SampleSpec) -> Replay:
+    """(F, F (D:F)) over the fg probes of a star-domain search, each built once, on first need."""
+    return Replay((i, handle_mul(i, handle_inverse(i))) for i in probe_stream(domain, spec, n=spec.count, fg=True))
 
 
 def _envelope_fixed(op: SemistarOp, dom: DomainHandle) -> bool:
@@ -189,11 +166,13 @@ def is_star_finite(op: SemistarOp, i: IdealHandle, spec: SampleSpec, within: boo
 # ---------------------------------------------------------------------------
 # star-domains and their relatives
 
-def is_star_domain(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Verdict:
+def is_star_domain(domain: DomainHandle, op: SemistarOp, spec: SampleSpec, products: "Replay | None" = None) -> Verdict:
+    """Refuted at the first fg probe F with (F (D:F))^op != D^op, read from a
+    suite's `invertibility_products` when given, else built afresh."""
     if "valuation" in domain.capabilities:
         return holds("valuation-fg-principal", detail="every finitely generated ideal is principal, hence invertible under any operation")
-    for i in probe_stream(domain, spec, n=spec.count, fg=True):
-        if not is_star_invertible(op, i):
+    for i, prod in products or invertibility_products(domain, spec):
+        if not is_star_invertible(op, i, prod):
             return refuted(i, detail="finitely generated ideal that is not star-invertible")
     return unknown(spec.count)
 
@@ -307,10 +286,9 @@ def _maps_into_chain(op: SemistarOp, domain: DomainHandle) -> bool:
 
 def _coherent_pool(domain, op, spec):
     """The 24 seeded fg candidates of a Coherent check with their images,
-    each drawn and closed once, on first need, and replayable from the
-    start by every pair (`copy.copy` of a tee shares its buffer)."""
+    each drawn and closed once, on first need, and replayed to every pair."""
     drawn = seeded(domain, spec, f"coh/{domain.name}", _sampler(domain, spec), 24)
-    return itertools.tee(((j, apply(op, j)) for j in drawn if j.finitely_generated), 1)[0]
+    return Replay((j, apply(op, j)) for j in drawn if j.finitely_generated)
 
 
 def _coherent_pair_witness(domain, op, e, f, pool) -> "Verdict":
@@ -324,7 +302,7 @@ def _coherent_pair_witness(domain, op, e, f, pool) -> "Verdict":
         yield from ((j, image) for j, image in ((e, e_image), (f, f_image)) if j.finitely_generated)
         if x.finitely_generated:
             yield x, apply(op, x)  # closed only once e and f have failed
-        yield from copy.copy(pool)
+        yield from pool
 
     for j, image in candidates():
         if handle_eq(image, x):
@@ -419,7 +397,7 @@ def _raw_quasi_maximals(op: SemistarOp, domain: DomainHandle):
     return () if domain.engine.spectrum_decidable else None
 
 
-def h_clauses(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> dict:
+def h_clauses(domain: DomainHandle, op: SemistarOp, spec: SampleSpec, images: "ImageTable | None" = None) -> dict:
     """The decidable clauses of the finite-character equivalence, each exact
     on these families (the nonzero prime spectrum is {M} in rank one)."""
     out = {}
@@ -438,10 +416,10 @@ def h_clauses(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> dict:
     except UnsupportedOperation:
         pass
 
-    # clause: tilde and bar coincide
+    # clause: tilde and bar coincide, walked over a suite's `images` when given
     universe = probe_ideals(domain, spec, n=24)
     try:
-        out["tilde-equals-bar"] = ops_equal_on(tilde_op(op), bar_op(op), universe)
+        out["tilde-equals-bar"] = ops_equal_on(tilde_op(op), bar_op(op), universe, images)
     except (UnsupportedOperation, UnsupportedMaximalSpectrum):
         pass
 
@@ -512,18 +490,18 @@ def _i_by_theorem(domain: DomainHandle, op: SemistarOp):
     return None
 
 
-def i_verdict(domain: DomainHandle, op: SemistarOp, spec: SampleSpec, h: Verdict) -> Verdict:
+def i_verdict(domain: DomainHandle, op: SemistarOp, spec: SampleSpec, h: Verdict, products: "Replay | None" = None) -> Verdict:
     """The I verdict given the H verdict h of op: a structural theorem, the
-    finite-character condition, else a search for an fg ideal invertible
-    under op but not under its finite-type closure."""
+    finite-character condition, else a search, over `products` when given,
+    for an fg ideal invertible under op but not under its finite-type closure."""
     by_theorem = _i_by_theorem(domain, op)
     if by_theorem is not None:
         return by_theorem
     if h.is_holds:
         return holds("finite-character", detail="the finite-character condition forces the invertibility classes to agree")
     fop = ft_op(op)
-    for i in probe_stream(domain, spec, fg=True):
-        if is_star_invertible(op, i) and not is_star_invertible(fop, i):
+    for i, prod in products or invertibility_products(domain, spec):
+        if is_star_invertible(op, i, prod) and not is_star_invertible(fop, i, prod):
             return refuted(i, detail="invertible under op but not under its finite-type closure")
     return unknown(spec.count)
 

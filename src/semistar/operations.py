@@ -36,8 +36,8 @@ layer checks that once (`_shares_domain`) and raises an AlgebraError for
 operands over two domains; the payload functions assume it, and payloads
 are canonical, so payloads are compared with `==`; only `handle_leq` (so
 `handle_eq`) also compares across the localization at P1.  `ops_equal_on`
-and `op_leq` walk a universe once; it starts with D and M, as
-`classify.probe_ideals` builds it, or they raise an AlgebraError.
+and `op_leq` walk a universe led by D and M (`classify.probe_ideals`), or
+raise an AlgebraError, reading the images from an `ImageTable`.
 
 Evaluation is compiled once per (domain, op): `compile_op`, reached through
 `dom.fact`, gives a CompiledOp whose `run` maps an ideal to its image and
@@ -75,6 +75,34 @@ class UnsupportedMaximalSpectrum(UnsupportedOperation):
 
 class ConsistencyError(AssertionError):
     """Two evaluation routes that must agree disagreed: an internal bug."""
+
+
+class Replay:
+    """The items of one source iterator, each drawn once, on first need, and
+    read in order by every consumer; a failure at index k is kept as its type
+    and arguments and raised afresh at k on every read, never a shorter list."""
+
+    __slots__ = ("source", "drawn", "error")
+
+    def __init__(self, source):
+        self.source, self.drawn, self.error = source, [], None
+
+    def __iter__(self):
+        drawn = self.drawn
+        yield from drawn  # the prefix drawn so far, at list speed; another reader may extend it meanwhile
+        k = len(drawn)
+        while True:
+            if k == len(drawn) and self.error is None:
+                try:
+                    drawn.append(next(self.source))
+                except StopIteration:
+                    return
+                except Exception as exc:
+                    self.error = (type(exc), exc.args)
+            if k == len(drawn):
+                raise self.error[0](*self.error[1])
+            yield drawn[k]
+            k += 1
 
 
 # ---------------------------------------------------------------------------
@@ -221,20 +249,11 @@ class DomainHandle:
         return {}
 
     def fact(self, compute, op: SemistarOp):
-        """compute(op, self), evaluated once; a failure is kept as its type and
-        arguments and raised afresh, so no stored exception grows a traceback."""
-        key = (compute, op)
-        entry = self._facts.get(key)
+        """compute(op, self), evaluated once: a one-item `Replay`, so a failure recurs."""
+        entry = self._facts.get((compute, op))
         if entry is None:
-            try:
-                entry = (None, compute(op, self))
-            except (UnsupportedOperation, AlgebraError) as exc:
-                entry = (type(exc), exc.args)
-            self._facts[key] = entry
-        error, value = entry
-        if error is not None:
-            raise error(*value)
-        return value
+            entry = self._facts[compute, op] = Replay(map(compute, (op,), (self,)))
+        return entry.drawn[0] if entry.drawn else next(iter(entry))
 
     def __repr__(self):
         return self.name or f"{self.family}({self.payload!r})"
@@ -1009,39 +1028,53 @@ def op_closed_form(op: SemistarOp, dom: DomainHandle) -> "str | None":
         return None
 
 
-def _universe_domain(universe) -> DomainHandle:
-    """The domain of a universe led by D and M, which decide every operation
-    on a valuation domain (Gilmer, Multiplicative Ideal Theory, 1972)."""
-    dom = universe[0].domain if len(universe) else None
-    if dom is None or tuple(universe[:2]) != (dom.unit, dom.maximal):
-        raise AlgebraError("a comparison universe starts with D and M, as probe_ideals builds it")
-    return dom
+class ImageTable:
+    """The images of operations over a universe led by D and M (they decide
+    every operation on a valuation domain; Gilmer, 1972), each closed once,
+    on first need, while the table lives (a suite keeps one); a walk reads a
+    prefix, and an `inner` delegate (ft or bar) reads its inner op's list."""
+
+    def __init__(self, universe):
+        dom = universe[0].domain if len(universe) else None
+        if dom is None or tuple(universe[:2]) != (dom.unit, dom.maximal):
+            raise AlgebraError("a comparison universe starts with D and M, as probe_ideals builds it")
+        self.domain, self.universe, self.lists = dom, list(universe), {}
+
+    def images(self, op):
+        while self.domain.fact(compile_op, op).kind == "inner":
+            op = op.inner
+        yield from self.lists.setdefault(op, Replay(apply(op, e) for e in self.universe))
+
+    def first_failure(self, op1, op2, universe, related):
+        if len(universe) < 2 or list(universe) != self.universe[:len(universe)]:
+            raise AlgebraError("a comparison universe starts with D and M and prefixes its image table's")
+        return next((e for e, a, b in zip(universe, self.images(op1), self.images(op2)) if not related(a, b)), None)
 
 
-def ops_equal_on(op1: SemistarOp, op2: SemistarOp, universe) -> Verdict:
+def ops_equal_on(op1: SemistarOp, op2: SemistarOp, universe, images: "ImageTable | None" = None) -> Verdict:
     """Equality of two operations, decided exactly where the family allows."""
-    dom = _universe_domain(universe)
+    images = images or ImageTable(universe)
     if op1 == op2:
         return holds("same-term")
-    for e in universe:
-        if not handle_eq(apply(op1, e), apply(op2, e)):
-            return refuted(e, detail="operations differ at this ideal")
-    f1, f2 = op_closed_form(op1, dom), op_closed_form(op2, dom)
+    bad = images.first_failure(op1, op2, universe, handle_eq)
+    if bad is not None:
+        return refuted(bad, detail="operations differ at this ideal")
+    f1, f2 = op_closed_form(op1, images.domain), op_closed_form(op2, images.domain)
     if f1 is not None and f2 is not None:
         if f1 != f2:
             raise ConsistencyError(f"closed forms {f1} and {f2} differ but agree on D and M")
         return holds("closed-forms-agree", detail=f"both reduce to {f1}")
-    if dom.engine.homogeneous:  # every ideal is a shift of D or M, and the walk saw both
+    if images.domain.engine.homogeneous:  # every ideal is a shift of D or M, and the walk saw both
         return holds("determined-by-unit-and-maximal")
     return unknown(len(universe), detail="agree on the whole universe")
 
 
-def op_leq(op1: SemistarOp, op2: SemistarOp, universe) -> Verdict:
-    dom = _universe_domain(universe)
+def op_leq(op1: SemistarOp, op2: SemistarOp, universe, images: "ImageTable | None" = None) -> Verdict:
+    images = images or ImageTable(universe)
     tag = op_leq_syntactic(op1, op2)
     if tag is not None:
         return holds(tag)
-    for e in universe:
-        if not handle_leq(apply(op1, e), apply(op2, e)):
-            return refuted(e, detail="first operation is not below the second here")
-    return holds("determined-by-unit-and-maximal") if dom.engine.homogeneous else unknown(len(universe))
+    bad = images.first_failure(op1, op2, universe, handle_leq)
+    if bad is not None:
+        return refuted(bad, detail="first operation is not below the second here")
+    return holds("determined-by-unit-and-maximal") if images.domain.engine.homogeneous else unknown(len(universe))

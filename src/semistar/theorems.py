@@ -17,11 +17,11 @@ from .classify import (
     EXTRACOHERENT,
     QUASI_COHERENT,
     TRULY_COHERENT,
-    fg_ideal_pairs,
     probe_ideals,
 )
 from .operations import (
     DomainHandle,
+    ImageTable,
     SemistarOp,
     UnsupportedOperation,
     apply,
@@ -112,15 +112,20 @@ def _first_failure(pairs, identity):
 
 
 def theorem_suite(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> SuiteReport:
+    """Every check on one (domain, operation) instance.  Two tables live for
+    this call only, each filled on first need: `images` closes each compared
+    operation once over the universe, `products` builds each F (D:F) once."""
     report = SuiteReport(domain, op)
     lines = report.lines
     universe = probe_ideals(domain, spec, n=32)
-    pairs = fg_ideal_pairs(domain, spec, n=min(spec.count, 60))
+    images = ImageTable(universe)
+    products = classify.invertibility_products(domain, spec)
+    pairs = list(classify.fg_pair_stream(domain, spec, n=min(spec.count, 60)))
     star_domains = {}  # op -> its star-domain verdict, for this call only
 
     def star_domain_of(o):
         if o not in star_domains:
-            star_domains[o] = classify.is_star_domain(domain, o, spec)
+            star_domains[o] = classify.is_star_domain(domain, o, spec, products)
         return star_domains[o]
 
     def pstarmd_of(o):
@@ -132,19 +137,19 @@ def theorem_suite(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Sui
            for k in (EXTRACOHERENT, COHERENT, TRULY_COHERENT, QUASI_COHERENT)}
 
     # --- comparison plumbing used by several checks
-    tilde_vs_ft = ops_equal_on(tilde_op(op), ft_op(op), universe)
+    tilde_vs_ft = ops_equal_on(tilde_op(op), ft_op(op), universe, images)
     try:
-        tilde_vs_barft = ops_equal_on(tilde_op(op), ft_op(bar_op(op)), universe)
+        tilde_vs_barft = ops_equal_on(tilde_op(op), ft_op(bar_op(op)), universe, images)
     except UnsupportedOperation:
         tilde_vs_barft = None
     try:
-        barft_vs_ft = ops_equal_on(ft_op(bar_op(op)), ft_op(op), universe)
+        barft_vs_ft = ops_equal_on(ft_op(bar_op(op)), ft_op(op), universe, images)
     except UnsupportedOperation:
         barft_vs_ft = None
 
     # --- monotone transfer of the star-domain property
     for smaller, tag in ((ft_op(op), "finite-type"), (bar_op(op), "stable-closure")):
-        if smaller == op or not op_leq(smaller, op, universe).is_holds:
+        if smaller == op or not op_leq(smaller, op, universe, images).is_holds:
             continue
         try:
             sd_small = star_domain_of(smaller)
@@ -172,23 +177,19 @@ def theorem_suite(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Sui
         lines.append(_sampled_identity("star-domain-inverse-colon-identity", _first_failure(
             pairs[:40], lambda e, f: handle_eq(apply(op, handle_mul(e, handle_inverse(f))),
                                                handle_colon(apply(op, e), f)))))
-    else:
-        lines.append(SuiteLine("star-domain-colon-product-identity", VACUOUS, "not established as a star-domain"))
-
-    # --- a star-domain is quasi-star-integrally closed; only the nontrivial
-    # containment (each (F^op : F^op) inside D^op) is decidable from samples
-    if star_domain.is_holds:
-        dstar = apply(op, unit_handle(domain))
-        bad = _first_failure(pairs[:40], lambda e, f: handle_leq(handle_colon(apply(op, e), apply(op, e)), dstar))
-        lines.append(_sampled_identity("quasi-integrally-closed-containment", None if bad is None else bad[0]))
-
-    # --- restricted colon transfer on integrally closed star-domains
-    if star_domain.is_holds and "integrally_closed" in domain.capabilities:
+        # a star-domain is quasi-star-integrally closed; only the nontrivial
+        # containment (each (F^op : F^op) inside D^op) is decidable from samples
         unit = unit_handle(domain)
         dstar = apply(op, unit)
-        lines.append(_sampled_identity("restricted-colon-transfer", _first_failure(
-            pairs[:40], lambda e, f: handle_eq(apply(op, handle_intersect(handle_colon(e, f), unit)),
-                                               handle_intersect(handle_colon(apply(op, e), f), dstar)))))
+        bad = _first_failure(pairs[:40], lambda e, f: handle_leq(handle_colon(apply(op, e), apply(op, e)), dstar))
+        lines.append(_sampled_identity("quasi-integrally-closed-containment", None if bad is None else bad[0]))
+        # restricted colon transfer on integrally closed star-domains
+        if "integrally_closed" in domain.capabilities:
+            lines.append(_sampled_identity("restricted-colon-transfer", _first_failure(
+                pairs[:40], lambda e, f: handle_eq(apply(op, handle_intersect(handle_colon(e, f), unit)),
+                                                   handle_intersect(handle_colon(apply(op, e), f), dstar)))))
+    else:
+        lines.append(SuiteLine("star-domain-colon-product-identity", VACUOUS, "not established as a star-domain"))
 
     # --- coherence lattice
     lines.append(_implication("extracoherent-implies-coherent", coh[EXTRACOHERENT], coh[COHERENT]))
@@ -228,9 +229,9 @@ def theorem_suite(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Sui
     lines.append(_biconditional("dedekind-iff-noetherian-star-domain", ded, _conj(noeth, star_domain)))
 
     # --- finite-character section
-    clause_verdicts = classify.h_clauses(domain, op, spec)
+    clause_verdicts = classify.h_clauses(domain, op, spec, images)
     h = classify.h_verdict(domain, op, clause_verdicts)
-    i = classify.i_verdict(domain, op, spec, h)
+    i = classify.i_verdict(domain, op, spec, h, products)
     lines.append(_implication("h-domain-implies-i-domain", h, i))
     decided = {k: v for k, v in clause_verdicts.items() if not v.is_unknown}
     if decided:

@@ -305,11 +305,13 @@ def test_theorem_suite_decides_each_star_domain_once(monkeypatch, K_quad, K_triv
     from semistar.operations import pullback_domain, semigroup_domain, valuation_domain
 
     asked = []
+    tables = []
     original = classify.is_star_domain
 
-    def counted(domain, op, spec):
+    def counted(domain, op, spec, products):
         asked.append(op)
-        return original(domain, op, spec)
+        tables.append(products)
+        return original(domain, op, spec, products)
 
     monkeypatch.setattr(classify, "is_star_domain", counted)
     spec = SampleSpec(seed=0, count=2)
@@ -318,9 +320,12 @@ def test_theorem_suite_decides_each_star_domain_once(monkeypatch, K_quad, K_triv
                        (semigroup_domain([3, 4, 5], "numsgr-star-once"), v_op()),
                        (vq, v_op()), (vq, st_op("K"))):
         asked.clear()
+        tables.clear()
         theorems.theorem_suite(domain, op, spec)
         assert {op, bar_op(op)} <= set(asked)
         assert len(asked) == len(set(asked)), f"{domain.name} with {op!r}: {asked}"
+        # every operation reads the one product table of this suite
+        assert tables[0] is not None and all(t is tables[0] for t in tables)
 
 
 def test_theorem_suite_checks_each_coherence_once(monkeypatch, K_quad, K_triv):
@@ -428,7 +433,7 @@ def test_refuting_star_domain_stops_at_the_refuting_probe(monkeypatch, dom_pvd):
     assert is_star_domain(dom_pvd, st_op("V"), spec).is_refuted
     assert drawn == []
     # a refutation at the first sampled probe draws exactly that probe
-    monkeypatch.setattr(classify, "is_star_invertible", lambda op, i: i.payload not in drawn)
+    monkeypatch.setattr(classify, "is_star_invertible", lambda op, i, prod: i.payload not in drawn)
     verdict = is_star_domain(dom_pvd, st_op("V"), spec)
     assert verdict.is_refuted and len(drawn) == 1
     assert verdict.witness[0].payload == drawn[0]
@@ -447,6 +452,27 @@ def test_probe_ideals_replay_one_prefix(dom_pvd):
     assert len(short) < len(long)
     # a replay hands out the handles drawn first, not equal copies
     assert all(a is b for a, b in zip(short, long))
+
+
+def test_a_spec_is_freed_when_dropped_with_no_collector_run(dom_pvd):
+    """The seeded streams a spec keeps do not keep the spec: dropping its
+    last reference frees it and its draws at once, with no cycle left for
+    the collector."""
+    import gc
+    import weakref
+
+    from semistar import theorems
+
+    spec = SampleSpec(seed=13, count=4)
+    theorems.theorem_suite(dom_pvd, v_op(), spec)
+    assert spec.draws
+    held = weakref.ref(spec)
+    gc.disable()
+    try:
+        del spec
+        assert held() is None
+    finally:
+        gc.enable()
 
 
 def test_probe_ideals_below_the_landmark_count_yield_the_landmarks(dom_pvd):
@@ -636,9 +662,9 @@ def test_theorem_suite_computes_h_clauses_once(monkeypatch, K_quad, K_triv):
     calls = []
     original = classify.h_clauses
 
-    def counted(domain, op, spec):
+    def counted(domain, op, spec, images):
         calls.append(op)
-        return original(domain, op, spec)
+        return original(domain, op, spec, images)
 
     monkeypatch.setattr(classify, "h_clauses", counted)
     spec = SampleSpec(seed=0, count=2)
@@ -675,3 +701,136 @@ def test_implication_and_biconditional_on_every_pair_of_outcomes():
         lhs, rhs = verdicts[pair[0]], verdicts[pair[1]]
         assert _implication("c", lhs, rhs).outcome == implication[pair], pair
         assert _biconditional("c", lhs, rhs).outcome == biconditional[pair], pair
+
+
+# ---------------------------------------------------------------------------
+# one suite closes each compared operation once and builds each F (D:F) once
+
+def _walk_closures(monkeypatch):
+    """(op, id(ideal)) of every closure a comparison walk makes itself (a
+    universe may hold two equal ideals); the nested applies and those made
+    while compiling an operation are left out."""
+    from semistar import operations
+
+    closed, walking, depth = [], [False], [0]
+
+    def nested(fn):
+        def run(*args):
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+        return run
+
+    nested_apply, walk = nested(operations.apply), operations.ImageTable.first_failure
+
+    def counted_apply(op, e):
+        if walking[0] and depth[0] == 0:
+            closed.append((op, id(e)))
+        return nested_apply(op, e)
+
+    def counted_walk(self, *args):
+        walking[0] = True
+        try:
+            return walk(self, *args)
+        finally:
+            walking[0] = False
+
+    monkeypatch.setattr(operations, "apply", counted_apply)
+    monkeypatch.setattr(operations.DomainHandle, "fact", nested(operations.DomainHandle.fact))
+    monkeypatch.setattr(operations.ImageTable, "first_failure", counted_walk)
+    return closed
+
+
+def _suite_instances(K_quad, K_triv, tag):
+    from semistar.operations import desc_op, pullback_domain, semigroup_domain, valuation_domain
+
+    p318 = pullback_domain(K_quad, "Q", f"p318-{tag}")
+    return ((semigroup_domain([3, 4, 5], f"numsgr-{tag}"), v_op()),
+            (pullback_domain(K_quad, "Z", f"pvd-{tag}"), v_op()),
+            (p318, st_op("V")),
+            (p318, desc_op(v_op())),  # its H verdict is refuted, so the I-domain search runs
+            (valuation_domain(K_triv, "Q", f"v-q-{tag}"), v_op()))
+
+
+def test_theorem_suite_closes_each_operation_once_per_universe_ideal(monkeypatch, K_quad, K_triv):
+    """The walks of one suite read its image table: each (operation,
+    universe ideal) pair is closed at most once, on a semigroup ring, two
+    pullbacks and a valuation domain."""
+    from semistar import theorems
+
+    closed = _walk_closures(monkeypatch)
+    spec = SampleSpec(seed=0, count=2)
+    for domain, op in _suite_instances(K_quad, K_triv, "walk-once"):
+        closed.clear()
+        theorems.theorem_suite(domain, op, spec)
+        assert closed, domain.name
+        assert len(closed) == len(set(closed)), f"{domain.name} with {op!r}"
+
+
+def _product_builds(monkeypatch):
+    """The F of every F (D:F) built in `classify`: a product by the inverse
+    that `classify.handle_inverse` has just returned."""
+    from semistar import classify
+
+    inverses, built = [], []
+    inverse, mul = classify.handle_inverse, classify.handle_mul
+
+    def counted_inverse(f):
+        inverses.append(inverse(f))
+        return inverses[-1]
+
+    def counted_mul(a, b):
+        if inverses and b is inverses[-1]:
+            built.append(a)
+        return mul(a, b)
+
+    monkeypatch.setattr(classify, "handle_inverse", counted_inverse)
+    monkeypatch.setattr(classify, "handle_mul", counted_mul)
+    return built
+
+
+def test_theorem_suite_builds_each_product_once(monkeypatch, K_quad, K_triv):
+    """Every star-domain and I-domain search of one suite reads its product
+    table: each sampled F has its F (D:F) built once."""
+    from semistar import theorems
+
+    built = _product_builds(monkeypatch)
+    for count in (2, 20):
+        spec = SampleSpec(seed=0, count=count)
+        for domain, op in _suite_instances(K_quad, K_triv, f"product-once-{count}"):
+            built.clear()
+            theorems.theorem_suite(domain, op, spec)
+            assert len(built) == len({id(f) for f in built}), f"{domain.name} with {op!r}"
+            if "valuation" not in domain.capabilities:  # a valuation domain decides by theorem
+                assert built, domain.name
+
+
+def test_a_failed_product_fails_again_for_every_operation(monkeypatch, dom_pvd):
+    """A failure while building product k is raised at k for every operation
+    that reads the table that far, the I-domain search included; no reader
+    sees a shorter list and returns unknown, and product k is not retried."""
+    from semistar import classify
+    from semistar.algebra import AlgebraError
+    from semistar.operations import ft_op, tilde_op
+    from semistar.verdict import unknown
+
+    built = _product_builds(monkeypatch)
+    inverse = classify.handle_inverse
+
+    def failing(f):
+        if len(built) == 3:
+            raise AlgebraError("planted failure at product 3")
+        return inverse(f)
+
+    monkeypatch.setattr(classify, "handle_inverse", failing)
+    monkeypatch.setattr(classify, "is_star_invertible", lambda op, i, prod: True)  # every search reads on
+    spec = SampleSpec(seed=11, count=20)
+    products = classify.invertibility_products(dom_pvd, spec)
+    for op in (v_op(), ft_op(v_op()), tilde_op(v_op()), bar_op(v_op()), st_op("V")):
+        with pytest.raises(AlgebraError, match="^planted failure at product 3$"):
+            is_star_domain(dom_pvd, op, spec, products)
+    with pytest.raises(AlgebraError, match="^planted failure at product 3$"):
+        classify.i_verdict(dom_pvd, v_op(), spec, unknown(0), products)
+    assert len(built) == 3 and len(products.drawn) == 3

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import random
@@ -180,13 +181,41 @@ def test_a_wrong_apery_table_trips_the_extensivity_check():
     # residues 1 and 2 swapped: the table's entries leave their classes mod 3,
     # and the computed v(D) misses D.  (A table that keeps each entry in its
     # class always gives an extensive result; the check guards the residue
-    # bookkeeping.)
+    # bookkeeping.)  The constructor refuses this table, so it is planted
+    # past the constructor, on a copy.
     assert S345.apery == (0, 4, 5)
-    swapped = dataclasses.replace(S345, apery=(0, 5, 4))
+    swapped = copy.copy(S345)
+    object.__setattr__(swapped, "apery", (0, 5, 4))
     assert swapped == S345  # the table takes no part in equality
     for gens in ([0], [3, 4, 5]):
         with pytest.raises(AlgebraError, match="not extensive"):
             v_closure(ideal_normalize(swapped, gens))
+
+
+@pytest.mark.parametrize("apery", [(3, 4, 5), (0, 5, 4), (0, 7, 5), (0, 1, 5), (0, 4), (0, 4, 5, 6)],
+                         ids=["shifted", "swapped", "not-shortest", "unreached", "short", "long"])
+def test_the_constructor_refuses_a_wrong_apery_table(apery):
+    with pytest.raises(AlgebraError, match="is not the Apery table of <3,4,5>"):
+        dataclasses.replace(S345, apery=apery)
+    if apery == (3, 4, 5):
+        # every entry stays in its residue class, so past the constructor the
+        # extensivity check lets it through and v(D) comes out wrong
+        planted = copy.copy(S345)
+        object.__setattr__(planted, "apery", apery)
+        assert v_closure(ring_ideal(planted)).gens == (0, 1, 2)
+    assert dataclasses.replace(S345, apery=(0, 4, 5)).apery == (0, 4, 5)
+
+
+def test_semigroup_equality_and_hash_ignore_the_derived_tables():
+    same = NumericalSemigroup.create([5, 4, 3, 3])
+    assert same == S345 and hash(same) == hash(S345)
+    # the gaps and the Apery table are read off the generators: planting other
+    # gaps changes neither equality nor hash
+    blank = dataclasses.replace(S345, gaps=())
+    assert blank == S345 and hash(blank) == hash(S345)
+    assert hash(ideal_normalize(blank, [0])) == hash(ideal_normalize(S345, [0]))
+    for other in (S23, S469, NumericalSemigroup.create([3, 4]), NumericalSemigroup.create([3, 4, 5, 6])):
+        assert other != S345
 
 
 def test_product_colon_containments():

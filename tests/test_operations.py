@@ -334,6 +334,73 @@ def test_a_closed_form_is_reported_only_for_an_operation_that_runs():
     assert raising > 0
 
 
+def _compare_or_raise(compare, *args):
+    try:
+        return compare(*args)
+    except (UnsupportedOperation, AlgebraError) as exc:
+        return type(exc), exc.args
+
+
+def test_a_shared_image_table_gives_the_table_free_results():
+    """Over every catalog instance, ops_equal_on and op_leq read one shared
+    ImageTable exactly as they walk without one: the same verdicts and the
+    same failures, on the suite's universe and on the prefix that h_clauses
+    compares on, for the comparisons a suite makes."""
+    from semistar.operations import ImageTable
+
+    compared = 0
+    for domain, ops in _derived_ops():
+        universe = probe_ideals(domain, SPEC, n=32)
+        prefix = probe_ideals(domain, SPEC, n=24)
+        assert prefix == universe[:len(prefix)] and len(prefix) < len(universe)
+        table = ImageTable(universe)
+        for o in ops:
+            ft, tilde, bar = ft_op(o), tilde_op(o), bar_op(o)
+            pairs = [(tilde, ft), (tilde, ft_op(bar)), (ft_op(bar), ft), (tilde, bar), (ft, o), (bar, o)]
+            for o1, o2 in pairs:
+                for compare in (ops_equal_on, op_leq):
+                    for u in (universe, prefix):
+                        shared = _compare_or_raise(compare, o1, o2, u, table)
+                        assert shared == _compare_or_raise(compare, o1, o2, u), (domain, compare, o1, o2, len(u))
+                        compared += 1
+    assert compared > 1000, compared
+
+
+def test_a_walk_over_an_image_table_reads_only_a_prefix_of_its_universe(dom_vq, dom_vz):
+    from semistar.operations import ImageTable
+
+    universe = probe_ideals(dom_vq, SPEC, n=10)
+    table = ImageTable(universe)
+    assert ops_equal_on(t_op(), v_op(), universe[:2], table).is_refuted
+    other = next(h for h in universe[3:] if h != universe[2])
+    for bad in ([*universe[:2], other], universe + universe[2:3], universe[:1], []):
+        for compare in (ops_equal_on, op_leq):
+            with pytest.raises(AlgebraError, match="prefixes its image table's"):
+                compare(v_op(), t_op(), bad, table)  # t <= v is syntactic; v <= t is walked
+    with pytest.raises(AlgebraError, match="starts with D and M"):
+        ImageTable(probe_ideals(dom_vz, SPEC, n=10)[1:])
+
+
+def test_an_inner_delegate_reads_its_inner_operations_images(dom_345):
+    """On a semigroup ring ft(v) runs v (all ideals are finitely generated):
+    the table closes v once per ideal for both, and a failure of the table's
+    source is raised afresh at the same index for every later reader."""
+    from semistar import operations
+    from semistar.operations import ImageTable
+
+    universe = probe_ideals(dom_345, SPEC, n=12)
+    table = ImageTable(universe)
+    assert dom_345.fact(operations.compile_op, ft_op(v_op())).kind == "inner"
+    assert ops_equal_on(ft_op(v_op()), v_op(), universe, table) == ops_equal_on(ft_op(v_op()), v_op(), universe)
+    assert list(table.lists) == [v_op()]
+    assert list(table.images(ft_op(v_op()))) == [apply(v_op(), e) for e in universe]
+    with pytest.raises(UnsupportedOperation, match="quotient field"):
+        ops_equal_on(st_op("K"), v_op(), universe, table)
+    for _ in range(2):  # a stored failure, not a shorter list
+        with pytest.raises(UnsupportedOperation, match="quotient field"):
+            list(table.images(st_op("K")))
+
+
 def test_st_k_on_a_semigroup_ring_has_no_closed_form(dom_345):
     from semistar.operations import op_closed_form
 
