@@ -6,6 +6,8 @@ Unknown otherwise.  Refutations of non-existence claims rest on two exact
 certificates: the cut-parity argument (an open tail with no jump cannot be
 the closure image of a finitely generated module once the overring envelope
 is fixed by the operation) and exhausted finite windows in semigroup rings.
+Every sampled search runs through one kernel, `verdict.search`: the first
+decision over a lazily drawn stream of candidates, else `unknown(samples)`.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .operations import (
     unit_handle,
     unit_image,
 )
-from .verdict import SampleSpec, Verdict, holds, refuted, unknown
+from .verdict import SampleSpec, Verdict, holds, refuted, search, unknown
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +93,7 @@ def probe_stream(domain: DomainHandle, spec: SampleSpec, n=None, integral=False,
 
 def probe_ideals(domain: DomainHandle, spec: SampleSpec, n=None, integral=False, fg=False):
     """Deterministic list of ideals: canonical landmarks plus seeded samples,
-    the whole of `probe_stream`.  Searches iterate the stream instead: it
-    draws in the same seed order and stops at the first decision, so their
-    results are identical to a search over this full list.  The samples are
+    the whole of `probe_stream`, which searches read instead.  The samples are
     drawn once per spec: a smaller `n` reads a prefix of a larger one, and a
     second call replays the first call's handles."""
     return list(probe_stream(domain, spec, n, integral, fg))
@@ -134,6 +134,12 @@ def _no_min_support(h: IdealHandle) -> bool:
     return h.domain.engine.hull(h.payload).minimum() is None
 
 
+def _witness_of(target: IdealHandle):
+    """The decision of a star-finiteness search at a candidate (J, J^op):
+    a witness when J^op is the target, else nothing."""
+    return lambda j, image: holds("witness-found", detail=repr(j)) if handle_eq(image, target) else None
+
+
 def is_star_finite(op: SemistarOp, i: IdealHandle, spec: SampleSpec, within: bool = False) -> Verdict:
     """Is there a finitely generated J with J^op = i^op (within: J inside i)?"""
     dom = i.domain
@@ -155,12 +161,8 @@ def is_star_finite(op: SemistarOp, i: IdealHandle, spec: SampleSpec, within: boo
     # search for an explicit witness, drawing samples only until one is found
     drawn = seeded(dom, spec, f"finite/{dom.name}", _sampler(dom, spec), spec.count)
     landmarks = [] if within else [unit_handle(dom), dom.overring_unit]
-    for j in itertools.chain(landmarks, drawn):
-        if within and not handle_leq(j, i):
-            continue
-        if handle_eq(apply(op, j), image):
-            return holds("witness-found", detail=repr(j))
-    return unknown(spec.count)
+    candidates = ((j, apply(op, j)) for j in itertools.chain(landmarks, drawn) if not within or handle_leq(j, i))
+    return search(candidates, _witness_of(image), spec.count)
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +173,11 @@ def is_star_domain(domain: DomainHandle, op: SemistarOp, spec: SampleSpec, produ
     suite's `invertibility_products` when given, else built afresh."""
     if "valuation" in domain.capabilities:
         return holds("valuation-fg-principal", detail="every finitely generated ideal is principal, hence invertible under any operation")
-    for i, prod in products or invertibility_products(domain, spec):
+
+    def not_invertible(i, prod):
         if not is_star_invertible(op, i, prod):
             return refuted(i, detail="finitely generated ideal that is not star-invertible")
-    return unknown(spec.count)
+    return search(products or invertibility_products(domain, spec), not_invertible, spec.count)
 
 
 def _agreed(verdicts: dict, what: str):
@@ -214,11 +217,10 @@ def cancellation_verdict(domain, op, spec, star_domain: Verdict, fg_only: bool) 
     """The a.b. verdict (e.a.b. when fg_only) given the star-domain verdict of
     op: a star-domain cancels, otherwise search for a cancellation failure.
 
-    The search walks the triples (E, F, G) of the ideal list in
-    lexicographic order, E outermost, until the budget runs out, and
-    refutes at the first (EF)^op <= (EG)^op with F^op not <= G^op.  Every
-    walked triple counts toward the budget, but a block whose E is not
-    finitely generated, or is D itself, is decided without building
+    The search walks the first `budget` triples (E, F, G) of the ideal list
+    in lexicographic order, E outermost, and refutes at the first
+    (EF)^op <= (EG)^op with F^op not <= G^op.  A block whose E is not
+    finitely generated, or is D itself, is passed over without building
     anything: DF = F, so its failure test reads `X and not X`."""
     if star_domain.is_holds:
         return holds("star-domain-cancellation", detail=star_domain.reason)
@@ -229,10 +231,9 @@ def cancellation_verdict(domain, op, spec, star_domain: Verdict, fg_only: bool) 
         ideals = [make_handle(domain, i) for i in window]
     else:
         ideals = probe_ideals(domain, spec, n=24, fg=fg_only)
-    n = len(ideals)
+    n = len(ideals)  # at least 1: D is in every list
     budget = min(spec.count * 40, n**3)
     unit = unit_handle(domain)
-    checked = 0
     closed = {}  # (i, j) -> (E_i F_j)^op and (None, j) -> F_j^op, for this call only
 
     def star(i, j):
@@ -240,20 +241,18 @@ def cancellation_verdict(domain, op, spec, star_domain: Verdict, fg_only: bool) 
             closed[i, j] = apply(op, ideals[j] if i is None else handle_mul(ideals[i], ideals[j]))
         return closed[i, j]
 
-    for a, e in enumerate(ideals):
-        block = min(n * n, budget - checked)  # the triples (e, *, *) within budget
-        if block <= 0:
-            break
-        if not e.finitely_generated or handle_eq(e, unit):
-            checked += block
-            continue
-        for (b, f), (c, g) in itertools.islice(itertools.product(enumerate(ideals), repeat=2), block):
-            checked += 1
-            if fg_only and not (f.finitely_generated and g.finitely_generated):
-                continue
-            if handle_leq(star(a, b), star(a, c)) and not handle_leq(star(None, b), star(None, c)):
-                return refuted(e, f, g, detail="cancellation failure")
-    return unknown(checked)
+    def triples():  # (a, b, c) for (E_a, F_b, G_c), in walk order, the skipped blocks left out
+        for a, first in enumerate(range(0, budget, n * n)):  # first: the walk index of (E_a, D, D)
+            if ideals[a].finitely_generated and not handle_eq(ideals[a], unit):
+                for b, c in itertools.islice(itertools.product(range(n), repeat=2), budget - first):
+                    yield a, b, c
+
+    def fails(a, b, c):
+        e, f, g = ideals[a], ideals[b], ideals[c]
+        if (not fg_only or f.finitely_generated and g.finitely_generated) \
+                and handle_leq(star(a, b), star(a, c)) and not handle_leq(star(None, b), star(None, c)):
+            return refuted(e, f, g, detail="cancellation failure")
+    return search(triples(), fails, budget)
 
 
 def is_eab(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Verdict:
@@ -271,6 +270,7 @@ EXTRACOHERENT = "Extracoherent"
 COHERENT = "Coherent"
 TRULY_COHERENT = "TrulyCoherent"
 QUASI_COHERENT = "QuasiCoherent"
+_POOL = 24  # the seeded fg candidates of a Coherent check, replayed to every pair
 
 
 def _maps_into_chain(op: SemistarOp, domain: DomainHandle) -> bool:
@@ -285,16 +285,15 @@ def _maps_into_chain(op: SemistarOp, domain: DomainHandle) -> bool:
 
 
 def _coherent_pool(domain, op, spec):
-    """The 24 seeded fg candidates of a Coherent check with their images,
+    """The `_POOL` seeded fg candidates of a Coherent check with their images,
     each drawn and closed once, on first need, and replayed to every pair."""
-    drawn = seeded(domain, spec, f"coh/{domain.name}", _sampler(domain, spec), 24)
+    drawn = seeded(domain, spec, f"coh/{domain.name}", _sampler(domain, spec), _POOL)
     return Replay((j, apply(op, j)) for j in drawn if j.finitely_generated)
 
 
 def _coherent_pair_witness(domain, op, e, f, pool) -> "Verdict":
     """Existence of fg J with J^op = e^op meet f^op, decided per pair.  The
-    candidates are e, f, the meet and the pool, tried in that (seed) order;
-    the search stops at the first witness, as a full draw would."""
+    candidates are e, f, the meet and the pool, tried in that (seed) order."""
     e_image, f_image = apply(op, e), apply(op, f)
     x = handle_intersect(e_image, f_image)
 
@@ -304,12 +303,10 @@ def _coherent_pair_witness(domain, op, e, f, pool) -> "Verdict":
             yield x, apply(op, x)  # closed only once e and f have failed
         yield from pool
 
-    for j, image in candidates():
-        if handle_eq(image, x):
-            return holds("witness-found", detail=repr(j))
-    if _envelope_fixed(op, domain) and _no_min_support(x):
+    found = search(candidates(), _witness_of(x), _POOL)
+    if found.is_unknown and _envelope_fixed(op, domain) and _no_min_support(x):
         return refuted(e, f, detail="cut-parity: the intersection of the images is an open tail")
-    return unknown(24)
+    return found
 
 
 def landmark_pairs(domain: DomainHandle):
@@ -330,25 +327,17 @@ def coherence_check(domain: DomainHandle, kind: str, op: SemistarOp, spec: Sampl
     landmarks = landmark_pairs(domain)
     npairs = len(landmarks) + spec.count
     pairs = itertools.chain(landmarks, fg_pair_stream(domain, spec))  # drawn as consumed
-    if kind == QUASI_COHERENT:
+    if kind in (QUASI_COHERENT, TRULY_COHERENT):
         if "all_fg" in domain.capabilities:
             return holds("all-representable-ideals-finitely-generated")
-        for f, _ in pairs:
-            inv = handle_inverse(f)
-            sub = is_star_finite(op, inv, spec)
-            if sub.is_refuted:
-                return refuted(f, detail=f"(D:F) not star-finite: {sub.detail}")
-        return unknown(npairs)
+        quasi = kind == QUASI_COHERENT
 
-    if kind == TRULY_COHERENT:
-        if "all_fg" in domain.capabilities:
-            return holds("all-representable-ideals-finitely-generated")
-        for e, f in pairs:
-            meet = handle_intersect(e, f)
-            sub = is_star_finite(op, meet, spec)
+        def not_star_finite(e, f):  # Quasi asks it of (D:F) with F the first member, Truly of the meet
+            sub = is_star_finite(op, handle_inverse(e) if quasi else handle_intersect(e, f), spec)
             if sub.is_refuted:
-                return refuted(e, f, detail=f"E meet F not star-finite: {sub.detail}")
-        return unknown(npairs)
+                what, witness = ("(D:F)", (e,)) if quasi else ("E meet F", (e, f))
+                return refuted(*witness, detail=f"{what} not star-finite: {sub.detail}")
+        return search(pairs, not_star_finite, npairs)
 
     if kind == COHERENT:
         if "all_fg" in domain.capabilities:
@@ -356,31 +345,31 @@ def coherence_check(domain: DomainHandle, kind: str, op: SemistarOp, spec: Sampl
                          detail="the meet of two closed images is representable and finitely generated")
         chain = _maps_into_chain(op, domain)
         pool = _coherent_pool(domain, op, spec)
-        for e, f in pairs:
+
+        def no_witness(e, f):
             sub = _coherent_pair_witness(domain, op, e, f, pool)
-            if sub.is_refuted:
-                return refuted(*sub.witness, detail=sub.detail)
-            if chain and not sub.is_holds:
+            if chain and sub.is_unknown:
                 raise ConsistencyError("chain-image family failed to exhibit a witness")
-        if chain:
+            return sub if sub.is_refuted else None
+        found = search(pairs, no_witness, npairs)
+        if chain and found.is_unknown:
             return holds("overring-chain-images",
                          detail="images are ideals of a valuation overring, so either image is the meet")
-        return unknown(npairs)
+        return found
 
     if kind == EXTRACOHERENT:
-        for e, f in pairs:
+        def gap_or_not_finite(e, f):
             meet = handle_intersect(e, f)
-            gap_lhs = apply(op, meet)
-            gap_rhs = handle_intersect(apply(op, e), apply(op, f))
-            if not handle_eq(gap_lhs, gap_rhs):
+            if not handle_eq(apply(op, meet), handle_intersect(apply(op, e), apply(op, f))):
                 return refuted(e, f, detail="strict-gap: (E meet F)^op sits strictly below E^op meet F^op, and any J inside E meet F closes below it")
             sub = is_star_finite(op, meet, spec, within=True)
             if sub.is_refuted:
                 return refuted(e, f, detail=f"no finitely generated J inside the meet closes onto it: {sub.detail}")
-        if known_stable(op, domain) and "all_fg" in domain.capabilities:
+        found = search(pairs, gap_or_not_finite, npairs)
+        if found.is_unknown and known_stable(op, domain) and "all_fg" in domain.capabilities:
             # stability kills the gap and the meet is its own witness
             return holds("stable-all-fg", detail="J = E meet F is finitely generated and closes onto the meet of the images")
-        return unknown(npairs)
+        return found
 
     raise AlgebraError(f"unknown coherence kind {kind!r}")
 
@@ -500,10 +489,11 @@ def i_verdict(domain: DomainHandle, op: SemistarOp, spec: SampleSpec, h: Verdict
     if h.is_holds:
         return holds("finite-character", detail="the finite-character condition forces the invertibility classes to agree")
     fop = ft_op(op)
-    for i, prod in products or invertibility_products(domain, spec):
+
+    def only_under_op(i, prod):
         if is_star_invertible(op, i, prod) and not is_star_invertible(fop, i, prod):
             return refuted(i, detail="invertible under op but not under its finite-type closure")
-    return unknown(spec.count)
+    return search(products or invertibility_products(domain, spec), only_under_op, spec.count)
 
 
 def is_I_domain(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Verdict:

@@ -241,19 +241,13 @@ def enumerate_ideals(ring: NumericalSemigroup, lo: int, hi: int):
     Normalized generator sets are exactly the antichains of the divisibility
     order v <= w iff w - v in S, built here by increasing value.
     """
-    values = list(range(lo, hi + 1))
     out = []
-
-    def extend(chosen, start):
+    stack = [((), lo)]  # (chosen, the least value that may extend it), popped depth first
+    while stack:
+        chosen, start = stack.pop()
         if chosen:
-            out.append(MonomialIdeal(ring, tuple(chosen)))
-        for i in range(start, len(values)):
-            w = values[i]
-            if any(ring.member(w - g) for g in chosen):
-                continue
-            chosen.append(w)
-            extend(chosen, i + 1)
-            chosen.pop()
-
-    extend([], 0)
+            out.append(MonomialIdeal(ring, chosen))
+        for w in range(hi, start - 1, -1):  # pushed largest first, so the smallest is extended first
+            if not any(ring.member(w - g) for g in chosen):
+                stack.append((chosen + (w,), w + 1))
     return out

@@ -1040,9 +1040,15 @@ class ImageTable:
             raise AlgebraError("a comparison universe starts with D and M, as probe_ideals builds it")
         self.domain, self.universe, self.lists = dom, list(universe), {}
 
-    def images(self, op):
+    def resolve(self, op):
+        """The operation whose images op reads: op itself, or, while op
+        compiles to an `inner` delegate, its inner operation."""
         while self.domain.fact(compile_op, op).kind == "inner":
             op = op.inner
+        return op
+
+    def images(self, op):
+        op = self.resolve(op)
         yield from self.lists.setdefault(op, Replay(apply(op, e) for e in self.universe))
 
     def first_failure(self, op1, op2, universe, related):
@@ -1066,6 +1072,8 @@ def ops_equal_on(op1: SemistarOp, op2: SemistarOp, universe, images: "ImageTable
         return holds("closed-forms-agree", detail=f"both reduce to {f1}")
     if images.domain.engine.homogeneous:  # every ideal is a shift of D or M, and the walk saw both
         return holds("determined-by-unit-and-maximal")
+    if images.resolve(op1) == images.resolve(op2):  # both run one compiled operation
+        return holds("same-compiled-form")
     return unknown(len(universe), detail="agree on the whole universe")
 
 

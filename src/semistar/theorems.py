@@ -39,7 +39,7 @@ from .operations import (
     tilde_op,
     unit_handle,
 )
-from .verdict import SampleSpec, Verdict, holds, unknown
+from .verdict import SampleSpec, Verdict, holds, refuted, search, unknown
 
 OK = "ok"
 VIOLATION = "violation"
@@ -102,13 +102,12 @@ def _biconditional(check: str, lhs: Verdict, rhs: Verdict) -> SuiteLine:
     return SuiteLine(check, OK, f"{lhs.summary()} == {rhs.summary()}")
 
 
-def _sampled_identity(check: str, bad) -> SuiteLine:
-    return SuiteLine(check, OK if bad is None else VIOLATION, "" if bad is None else f"identity failed at {bad}")
-
-
-def _first_failure(pairs, identity):
-    """The first pair (e, f) at which identity(e, f) fails, or None."""
-    return next(((e, f) for e, f in pairs if not identity(e, f)), None)
+def _sampled_identity(check: str, candidates, identity) -> SuiteLine:
+    """OK when identity(*c) holds at every candidate c, (E, F) or (E,), else
+    a VIOLATION at the first c where it fails."""
+    bad = search(candidates, lambda *c: None if identity(*c) else refuted(*c), len(candidates))
+    at = bad.witness[0] if len(bad.witness) == 1 else bad.witness
+    return SuiteLine(check, OK) if bad.is_unknown else SuiteLine(check, VIOLATION, f"identity failed at {at}")
 
 
 def theorem_suite(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> SuiteReport:
@@ -171,23 +170,22 @@ def theorem_suite(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Sui
 
     # --- the invertibility characterization (F(E:F))^op = E^op
     if star_domain.is_holds:
-        lines.append(_sampled_identity("star-domain-colon-product-identity", _first_failure(
-            pairs[:40], lambda e, f: handle_eq(apply(op, handle_mul(f, handle_colon(e, f))), apply(op, e)))))
+        lines.append(_sampled_identity("star-domain-colon-product-identity", pairs[:40], lambda e, f: handle_eq(
+            apply(op, handle_mul(f, handle_colon(e, f))), apply(op, e))))
         # and the quotient form (E F^{-1})^op = (E^op : F)
-        lines.append(_sampled_identity("star-domain-inverse-colon-identity", _first_failure(
-            pairs[:40], lambda e, f: handle_eq(apply(op, handle_mul(e, handle_inverse(f))),
-                                               handle_colon(apply(op, e), f)))))
+        lines.append(_sampled_identity("star-domain-inverse-colon-identity", pairs[:40], lambda e, f: handle_eq(
+            apply(op, handle_mul(e, handle_inverse(f))), handle_colon(apply(op, e), f))))
         # a star-domain is quasi-star-integrally closed; only the nontrivial
         # containment (each (F^op : F^op) inside D^op) is decidable from samples
         unit = unit_handle(domain)
         dstar = apply(op, unit)
-        bad = _first_failure(pairs[:40], lambda e, f: handle_leq(handle_colon(apply(op, e), apply(op, e)), dstar))
-        lines.append(_sampled_identity("quasi-integrally-closed-containment", None if bad is None else bad[0]))
+        lines.append(_sampled_identity("quasi-integrally-closed-containment", [(e,) for e, _ in pairs[:40]],
+                                       lambda e: handle_leq(handle_colon(apply(op, e), apply(op, e)), dstar)))
         # restricted colon transfer on integrally closed star-domains
         if "integrally_closed" in domain.capabilities:
-            lines.append(_sampled_identity("restricted-colon-transfer", _first_failure(
-                pairs[:40], lambda e, f: handle_eq(apply(op, handle_intersect(handle_colon(e, f), unit)),
-                                                   handle_intersect(handle_colon(apply(op, e), f), dstar)))))
+            lines.append(_sampled_identity("restricted-colon-transfer", pairs[:40], lambda e, f: handle_eq(
+                apply(op, handle_intersect(handle_colon(e, f), unit)),
+                handle_intersect(handle_colon(apply(op, e), f), dstar))))
     else:
         lines.append(SuiteLine("star-domain-colon-product-identity", VACUOUS, "not established as a star-domain"))
 
@@ -205,16 +203,13 @@ def theorem_suite(domain: DomainHandle, op: SemistarOp, spec: SampleSpec) -> Sui
 
     # --- a P*MD satisfies the intersection-product identity under tilde
     top = tilde_op(op)
-    bad = _first_failure(pairs, lambda e, f: handle_eq(apply(top, handle_mul(handle_add(e, f), handle_intersect(e, f))),
-                                                       apply(top, handle_mul(e, f))))
-    if pstarmd.is_holds:
-        lines.append(_sampled_identity("pstarmd-sum-meet-product-identity", bad))
-    else:
-        lines.append(SuiteLine(
-            "pstarmd-sum-meet-product-identity",
-            VACUOUS if bad is not None else OK,
-            "identity holds anyway" if bad is None else "not a P*MD; identity may fail",
-        ))
+    sum_meet = _sampled_identity("pstarmd-sum-meet-product-identity", pairs, lambda e, f: handle_eq(
+        apply(top, handle_mul(handle_add(e, f), handle_intersect(e, f))), apply(top, handle_mul(e, f))))
+    if not pstarmd.is_holds:  # the identity may fail off the P*MDs, so a failure there is vacuous
+        failed = sum_meet.outcome == VIOLATION
+        sum_meet = SuiteLine(sum_meet.check, VACUOUS if failed else OK,
+                             "not a P*MD; identity may fail" if failed else "identity holds anyway")
+    lines.append(sum_meet)
 
     # --- main characterization: quasi-coherent star-domain is a P*MD
     both = _conj(star_domain, coh[QUASI_COHERENT])

@@ -59,6 +59,17 @@ def unknown(samples: int, detail: str = "") -> Verdict:
     return Verdict(UNKNOWN, samples=samples, detail=detail)
 
 
+def search(candidates, decide, samples: int) -> Verdict:
+    """The search kernel of every sampled predicate: the first verdict that
+    decide(*c) returns (None decides nothing) over the candidate tuples c,
+    drawn one at a time, none past the first decision; else unknown(samples)."""
+    for c in candidates:
+        decision = decide(*c)
+        if decision is not None:
+            return decision
+    return unknown(samples)
+
+
 @dataclass(frozen=True)
 class SampleSpec:
     """Deterministic sampling parameters; identical spec, identical samples.

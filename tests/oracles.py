@@ -9,7 +9,8 @@ methods, primality and irreducibility over F_p by trial division, and
 irreducibility over Q by the rational root theorem with trial-division
 divisors, as references for the integer kernels.  The cancellation search
 is restated as a closing walk over every triple within its budget.  The v
-closure of a monomial ideal is restated as two window colons, (S : (S : a)).
+closure of a monomial ideal is restated as two window colons, (S : (S : a)),
+and the ideal enumeration as the recursive walk its stack loop replaces.
 """
 
 from __future__ import annotations
@@ -400,6 +401,30 @@ def two_colon_v(a: MonomialIdeal) -> MonomialIdeal:
     definition the Apery-table closure replaces."""
     d = ring_ideal(a.ring)
     return ideal_colon(d, ideal_colon(d, a))
+
+
+# ---------------------------------------------------------------------------
+# the ideal enumeration as a recursive antichain walk
+
+def enumerate_ideals_reference(ring: NumericalSemigroup, lo: int, hi: int):
+    """`numsgr.enumerate_ideals` by recursion: every antichain of the
+    divisibility order on [lo, hi], each extended by increasing value."""
+    values = list(range(lo, hi + 1))
+    out = []
+
+    def extend(chosen, start):
+        if chosen:
+            out.append(MonomialIdeal(ring, tuple(chosen)))
+        for i in range(start, len(values)):
+            w = values[i]
+            if any(ring.member(w - g) for g in chosen):
+                continue
+            chosen.append(w)
+            extend(chosen, i + 1)
+            chosen.pop()
+
+    extend([], 0)
+    return out
 
 
 # ---------------------------------------------------------------------------

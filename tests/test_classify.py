@@ -834,3 +834,67 @@ def test_a_failed_product_fails_again_for_every_operation(monkeypatch, dom_pvd):
     with pytest.raises(AlgebraError, match="^planted failure at product 3$"):
         classify.i_verdict(dom_pvd, v_op(), spec, unknown(0), products)
     assert len(built) == 3 and len(products.drawn) == 3
+
+
+# ---------------------------------------------------------------------------
+# every sampled search runs through the one kernel
+
+SEARCH_SITES = ("is_star_finite", "is_star_domain", "i_verdict", "cancellation_verdict",
+                "_coherent_pair_witness", "coherence_check")
+
+
+def test_every_sampled_verdict_comes_from_the_search_kernel(monkeypatch):
+    """With a spy on `search`, the suite over every catalog instance at
+    count 2: each unknown a search site returns, each witness it finds and
+    each refuted at a sampled candidate is the very object the kernel
+    returned.  The other refuted verdicts of is_star_finite and of
+    _coherent_pair_witness are certificates that no search finds.  No
+    catalog suite reaches the I-domain search, and none gets an unknown from
+    is_star_domain or is_star_finite, so those are also asked directly, the
+    last two with every candidate planted to decide nothing."""
+    from semistar import classify, scenarios, theorems
+    from semistar.verdict import unknown
+
+    decided = []  # every verdict the kernel returned, kept alive so that ids stay distinct
+    kernel = classify.search
+
+    def spy(candidates, decide, samples):
+        decided.append(kernel(candidates, decide, samples))
+        return decided[-1]
+
+    monkeypatch.setattr(classify, "search", spy)
+    monkeypatch.setattr(theorems, "search", spy)
+    returned = []  # (site, verdict) for every call of a search site
+
+    def recorded(name, site):
+        def wrapper(*args, **kwargs):
+            returned.append((name, site(*args, **kwargs)))
+            return returned[-1][1]
+        return wrapper
+
+    for name in SEARCH_SITES:
+        monkeypatch.setattr(classify, name, recorded(name, getattr(classify, name)))
+    spec = SampleSpec(seed=0, count=2)
+    instances = [(domain, op) for domain, ops in scenarios.catalog_instances() for op in ops
+                 if not (op.kind == "spec" and op.tag == "P1")]  # skipped by --suite too
+    for domain, op in instances:
+        theorems.theorem_suite(domain, op, spec)
+        classify.i_verdict(domain, op, spec, unknown(0))
+    monkeypatch.setattr(classify, "is_star_invertible", lambda op, i, prod: True)
+    monkeypatch.setattr(classify, "_witness_of", lambda target: lambda j, image: None)
+    for domain, op in instances:
+        classify.is_star_domain(domain, op, spec)
+        classify.is_star_finite(op, maximal_handle(domain), spec)
+
+    from_kernel = {id(v) for v in decided}
+    for name, verdict in returned:
+        if verdict.is_refuted and name in ("is_star_finite", "_coherent_pair_witness"):
+            certificate = verdict.detail.startswith(("cut-parity", "support-below-envelope"))
+            assert certificate or id(verdict) in from_kernel, (name, verdict)
+        elif verdict.is_unknown or verdict.is_refuted or verdict.reason == "witness-found":
+            assert id(verdict) in from_kernel, (name, verdict)
+    outcomes = {(name, v.outcome) for name, v in returned}
+    for name in SEARCH_SITES:  # the check is not vacuous
+        assert (name, "unknown") in outcomes or name == "_coherent_pair_witness", name
+    assert {("is_star_domain", "refuted"), ("cancellation_verdict", "unknown"), ("coherence_check", "refuted"),
+            ("_coherent_pair_witness", "refuted"), ("is_star_finite", "holds")} <= outcomes

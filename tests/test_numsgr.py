@@ -30,7 +30,7 @@ from semistar.numsgr import (
     ring_ideal,
     v_closure,
 )
-from oracles import BitsetOracle, two_colon_v
+from oracles import BitsetOracle, enumerate_ideals_reference, two_colon_v
 
 S345 = NumericalSemigroup.create([3, 4, 5])
 S23 = NumericalSemigroup.create([2, 3])
@@ -123,6 +123,29 @@ def test_enumeration_against_subset_oracle():
     enumerated = enumerate_ideals(S345, 0, S345.frobenius + 6)
     assert len(enumerated) == len(set(enumerated))
     assert {i.gens for i in enumerated} == seen
+
+
+@pytest.mark.parametrize("gens", [(3, 4, 5), (4, 6, 9), (5, 7, 9), (6, 7, 8, 9, 10), (7, 11)])
+def test_enumeration_order_matches_the_recursive_walk(gens):
+    ring = NumericalSemigroup.create(gens)
+    hi = min(ring.frobenius + 3, 25)  # <7,11> (F = 59) has 73,199 ideals up to F + 3, 11,398 up to 25
+    assert [i.gens for i in enumerate_ideals(ring, 0, hi)] == [i.gens for i in enumerate_ideals_reference(ring, 0, hi)]
+
+
+def test_a_dropped_enumeration_is_freed_with_no_collector_run():
+    """The enumeration leaves no reference cycle, so its ideals die with the
+    last reference to the list, before any cyclic collection."""
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        ideals = enumerate_ideals(S345, 0, S345.frobenius + 3)
+        held = weakref.ref(ideals[0])
+        del ideals
+        assert held() is None
+    finally:
+        gc.enable()
 
 
 def _oracle_for(ring, lo, hi):

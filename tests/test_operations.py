@@ -401,6 +401,21 @@ def test_an_inner_delegate_reads_its_inner_operations_images(dom_345):
             list(table.images(st_op("K")))
 
 
+def test_one_compiled_operation_is_equal_to_itself(dom_345, dom_vq):
+    """ft(v) and v compile to one operation on a semigroup ring, so their
+    equality holds in either order; on the dense valuation domain t and v
+    still differ, and the walk refutes before the compiled forms are read."""
+    from semistar.operations import ImageTable
+
+    universe = probe_ideals(dom_345, SPEC, n=12)
+    table = ImageTable(universe)
+    assert table.resolve(ft_op(v_op())) == table.resolve(v_op()) == v_op()
+    for a, b in ((ft_op(v_op()), v_op()), (v_op(), ft_op(v_op()))):
+        assert repr(ops_equal_on(a, b, universe)) == "holds[same-compiled-form]"
+        assert repr(ops_equal_on(a, b, universe, table)) == "holds[same-compiled-form]"
+    assert ops_equal_on(t_op(), v_op(), probe_ideals(dom_vq, SPEC, n=12)).is_refuted
+
+
 def test_st_k_on_a_semigroup_ring_has_no_closed_form(dom_345):
     from semistar.operations import op_closed_form
 
