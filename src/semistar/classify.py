@@ -56,12 +56,11 @@ from .verdict import SampleSpec, Verdict, holds, refuted, search, unknown
 def seeded(domain: DomainHandle, spec: SampleSpec, salt: str, draw, n: int):
     """The first n items (none for n <= 0) of the seeded stream draw(rng),
     draw(rng), ... with rng = spec.rng(salt), a `Replay` kept on the spec:
-    each index is drawn once per spec.  The salt must name the draw."""
-    key = (id(domain), salt)
+    each index is drawn once per spec, and equal domains share the stream.
+    The salt must name the draw."""
+    key = (domain, salt)
     if key not in spec.draws:
-        rng = spec.rng(salt)
-        # repeat(domain) keeps id(domain) from being reused while the entry lives
-        spec.draws[key] = Replay(draw(rng) for _ in itertools.repeat(domain))
+        spec.draws[key] = Replay(map(draw, itertools.repeat(spec.rng(salt))))
     return itertools.islice(spec.draws[key], max(n, 0))
 
 
@@ -128,12 +127,6 @@ def _envelope_fixed(op: SemistarOp, dom: DomainHandle) -> bool:
     return handle_eq(apply(op, v), v)
 
 
-def _no_min_support(h: IdealHandle) -> bool:
-    """True when the payload has no minimal support level (open tail with no
-    jump, or the whole quotient field)."""
-    return h.domain.engine.hull(h.payload).minimum() is None
-
-
 def _witness_of(target: IdealHandle):
     """The decision of a star-finiteness search at a candidate (J, J^op):
     a witness when J^op is the target, else nothing."""
@@ -149,7 +142,7 @@ def is_star_finite(op: SemistarOp, i: IdealHandle, spec: SampleSpec, within: boo
         return holds("all-representable-ideals-finitely-generated")
     image = apply(op, i)
     if _envelope_fixed(op, dom):
-        if _no_min_support(image):
+        if not image.finitely_generated:  # no minimal support level: an open tail or the quotient field
             return refuted(i, image, detail="cut-parity: image of any finitely generated module has a minimal support level")
         # the open tail of i against the minimal support level of the image
         tail, hull = dom.engine.tail(i.payload), dom.engine.hull(image.payload)
@@ -304,7 +297,7 @@ def _coherent_pair_witness(domain, op, e, f, pool) -> "Verdict":
         yield from pool
 
     found = search(candidates(), _witness_of(x), _POOL)
-    if found.is_unknown and _envelope_fixed(op, domain) and _no_min_support(x):
+    if found.is_unknown and _envelope_fixed(op, domain) and not x.finitely_generated:
         return refuted(e, f, detail="cut-parity: the intersection of the images is an open tail")
     return found
 
@@ -395,13 +388,11 @@ def h_clauses(domain: DomainHandle, op: SemistarOp, spec: SampleSpec, images: "I
 
     # clause: the localizing systems of op and its finite-type closure agree
     try:
-        ls_full = localizing_system(op, domain)
-        ls_fin = localizing_system(ft_op(op), domain)
-        if ls_full.trivial == ls_fin.trivial:
+        full, fin = localizing_system(op, domain), localizing_system(ft_op(op), domain)
+        if handle_eq(full, fin):
             out["systems-equal"] = holds("cofinal-families-agree")
         else:
-            wit = m if not ls_full.trivial else unit_handle(domain)
-            out["systems-equal"] = refuted(wit, detail="the two localizing systems have different cofinal families")
+            out["systems-equal"] = refuted(full, detail="the two localizing systems have different cofinal families")
     except UnsupportedOperation:
         pass
 

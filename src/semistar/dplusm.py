@@ -226,11 +226,6 @@ def extend_to_V(a: LeveledModule) -> LeveledModule:
     return a if a.space is None else LeveledModule(a.domain, a.hull)
 
 
-def v_closure_pullback(a: LeveledModule, d: LeveledModule) -> LeveledModule:
-    """(D : (D : a)), D the unit module of a's domain."""
-    return module_colon(d, module_colon(d, a))
-
-
 # -- finite generation --------------------------------------------------------
 
 def fg_witness(a: LeveledModule):

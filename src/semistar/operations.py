@@ -41,11 +41,12 @@ raise an AlgebraError, reading the images from an `ImageTable`.
 
 Evaluation is compiled once per (domain, op): `compile_op`, reached through
 `dom.fact`, gives a CompiledOp whose `run` maps an ideal to its image and
-whose `form` is what `op_closed_form` reports.  Its kind is `identity`,
-`constant-K`, `colon-by` J (bar: E -> (E : J), J the meet of the localizing
-system, computed once), `ft-of` (ft of an open-tail module: a shift of the
-envelope image (V)^op, computed once), `inner` (the compiled inner operation
-runs) or `generic` (the term's evaluator runs on every call).
+whose `form` is what `op_closed_form` reports.  An `ft` or `bar` that only
+runs its inner operation compiles to the inner operation's own `run`; `bar`
+over the system {M} runs E -> (E : M); `ft` maps an open-tail module to a
+shift of the envelope image (V)^op, computed once; any other term runs its
+evaluator on every call.  Operations that compile to one `run` are one
+closure, and an `ImageTable` keeps one image list for them.
 
 Whenever no exact evaluator exists the evaluator raises
 UnsupportedOperation; nothing is ever silently approximated.
@@ -54,7 +55,7 @@ UnsupportedOperation; nothing is ever silently approximated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 from . import dplusm, numsgr
 from .algebra.fields import SAMPLE_ATTEMPTS, AlgebraError
@@ -400,8 +401,8 @@ def _positive_levels(group: ValueGroup, rng):
 
 class _Engine:
     """The protocol's shared defaults, each overridden where a family
-    differs: the formatting and finite generation of the segment view, and
-    no localization at P1."""
+    differs: `v` as the colon by D twice, the formatting, finite generation
+    and wholeness of the segment view, and no localization at P1."""
 
     K = None  # the coefficient field; None for bare monomials
     group = None  # the value group; None for a semigroup ring
@@ -410,8 +411,15 @@ class _Engine:
     def spectrum_decidable(self) -> bool:
         return self.group.kind != "ZxZ"  # rank 2 has a second nonzero prime
 
+    def v(self, a):
+        d = self.unit()
+        return self.colon(d, self.colon(d, a))
+
     def finitely_generated(self, a) -> bool:
         return self.hull(a).minimum() is not None
+
+    def is_whole(self, a) -> bool:
+        return self.hull(a).is_whole()
 
     def sample_fg_ideal(self, rng, spec, integral=False):
         for _ in range(SAMPLE_ATTEMPTS):
@@ -575,18 +583,11 @@ class _ValuationEngine(_Engine):
             raise AlgebraError("colon collapses to the zero module")
         return out
 
-    def v(self, a):
-        d = self.unit()
-        return self.colon(d, self.colon(d, a))
-
     def extend(self, tag, a):
         return a if tag in ("V", "ic") else self.whole()  # integrally closed; V is the ring itself
 
     def whole(self):
         return Segment.whole(self.group)
-
-    def is_whole(self, a) -> bool:
-        return a.is_whole()
 
     def leq(self, a, b):
         return a.leq(b)
@@ -696,17 +697,11 @@ class _PullbackEngine(_Engine):
     def colon(self, a, b):
         return dplusm.module_colon(a, b)
 
-    def v(self, a):
-        return dplusm.v_closure_pullback(a, self._unit)
-
     def extend(self, tag, a):
         return dplusm.extend_to_V(a) if tag in ("V", "ic") else self.whole()
 
     def whole(self):
         return dplusm.whole_module(self.pd)
-
-    def is_whole(self, a) -> bool:
-        return dplusm.module_hull(a).is_whole()
 
     def leq(self, a, b):
         return dplusm.module_leq(a, b)
@@ -796,13 +791,12 @@ _ENGINES = {"numsgr": _NumsgrEngine, "pullback": _PullbackEngine, "valuation": _
 class CompiledOp:
     """An operation compiled for one domain by `compile_op`."""
 
-    kind: str  # identity | constant-K | colon-by | ft-of | inner | generic
     run: object  # IdealHandle -> IdealHandle
     form: "str | None" = None  # the closed form op_closed_form reports
 
 
-_IDENTITY = CompiledOp("identity", lambda e: e, "identity")
-_CONSTANT_K = CompiledOp("constant-K", lambda e: make_handle(e.domain, e.domain.engine.whole()), "constant-K")
+_IDENTITY = CompiledOp(lambda e: e, "identity")
+_CONSTANT_K = CompiledOp(lambda e: make_handle(e.domain, e.domain.engine.whole()), "constant-K")
 
 
 def apply(op: SemistarOp, e: IdealHandle) -> IdealHandle:
@@ -837,7 +831,7 @@ def compile_op(op: SemistarOp, dom: DomainHandle) -> CompiledOp:
     run = _GENERIC[op.kind]
     # integrally closed: the V extension fixes every ideal
     form = "identity" if op.kind == "st" and dom.engine.homogeneous else None
-    return CompiledOp("generic", lambda e: run(op, e), form)
+    return CompiledOp(lambda e: run(op, e), form)
 
 
 def _constant_k(dom: DomainHandle) -> CompiledOp:
@@ -845,28 +839,24 @@ def _constant_k(dom: DomainHandle) -> CompiledOp:
     return _CONSTANT_K
 
 
-def _delegate(inner: SemistarOp, compiled: CompiledOp, form: "str | None") -> CompiledOp:
-    """Run the compiled inner operation: its own closure when that does no
-    work (identity, constant-K), else through apply."""
-    if compiled.kind in ("identity", "constant-K"):
-        return compiled
-    return CompiledOp("inner", lambda e: apply(inner, e), form)
+def _delegate(compiled: CompiledOp, form: "str | None") -> CompiledOp:
+    """The compiled inner operation's own closure, under the outer form."""
+    return compiled if compiled.form == form else CompiledOp(compiled.run, form)
 
 
 def _compile_stable(inner: SemistarOp, dom: DomainHandle) -> CompiledOp:
-    """bar(inner) is E -> (E : J), J the meet of the localizing system of
+    """bar(inner) is E -> (E : J), J the `localizing_system` member of
     inner, unless inner is stable already; then it runs the compiled inner."""
     compiled = dom.fact(compile_op, inner)
     if known_stable(inner, dom):
-        return _delegate(inner, compiled, compiled.form)
+        return compiled
     if dom.engine.is_whole(unit_image(inner, dom).payload):
         # the constant map to the quotient field, which is already stable
-        return _delegate(inner, compiled, "constant-K")
-    ls = localizing_system(inner, dom)
-    if ls.trivial:
-        return _IDENTITY  # J = D, and (E : D) = E
-    meet = reduce(handle_intersect, ls.members)
-    return CompiledOp("colon-by", lambda e: handle_colon(e, meet), "colon-M")
+        return _delegate(compiled, "constant-K")
+    member = localizing_system(inner, dom)
+    if member is dom.unit:
+        return _IDENTITY  # the system is {D}, and (E : D) = E
+    return CompiledOp(lambda e: handle_colon(e, member), "colon-M")
 
 
 def _compile_finite_type(inner: SemistarOp, dom: DomainHandle) -> CompiledOp:
@@ -877,18 +867,18 @@ def _compile_finite_type(inner: SemistarOp, dom: DomainHandle) -> CompiledOp:
     compiled = dom.fact(compile_op, inner)
     form = compiled.form if compiled.form in ("identity", "constant-K") else None  # finite-type maps already
     if "all_fg" in dom.capabilities:
-        return _delegate(inner, compiled, form)
+        return _delegate(compiled, form)
     eng = dom.engine
 
     def run(e):
         if e.finitely_generated:
-            return apply(inner, e)
+            return compiled.run(e)
         hull = dom.fact(_envelope_hull, inner)
         if eng.is_whole(e.payload):
             return e  # shifts of the envelope image over arbitrarily low cuts cover the group
         return make_handle(dom, eng.from_tail(segment_add(eng.tail(e.payload), hull)))
 
-    return CompiledOp("ft-of", run, form)
+    return CompiledOp(run, form)
 
 
 def _envelope_hull(inner: SemistarOp, dom: DomainHandle):
@@ -929,19 +919,13 @@ _GENERIC = {
 }
 
 
-@dataclass(frozen=True)
-class LocalizingSystemView:
-    """F^op presented by a finite cofinal family of certified members."""
-
-    members: tuple
-    trivial: bool  # the system is {D}
-
-
-def localizing_system(op: SemistarOp, dom: DomainHandle) -> LocalizingSystemView:
+def localizing_system(op: SemistarOp, dom: DomainHandle) -> IdealHandle:
+    """The one member of a cofinal family of F^op: `dom.unit` when the system
+    is {D}, else `dom.maximal`."""
     return dom.fact(_localizing_system, op)
 
 
-def _localizing_system(op: SemistarOp, dom: DomainHandle) -> LocalizingSystemView:
+def _localizing_system(op: SemistarOp, dom: DomainHandle) -> IdealHandle:
     """Cofinal family for {I integral : I^op = D^op} on a local domain.
 
     If M^op differs from D^op, monotonicity pins the system to {D}.  When
@@ -959,7 +943,7 @@ def _localizing_system(op: SemistarOp, dom: DomainHandle) -> LocalizingSystemVie
         raise UnsupportedOperation("constant-field operation has no finite cofinal family")
     mstar = apply(op, maximal_handle(dom))
     if not handle_eq(mstar, dstar):
-        return LocalizingSystemView((unit_handle(dom),), True)
+        return unit_handle(dom)
     rng = random.Random(0xC0F1)
     for payload in eng.proper_subideal_samples(rng):
         sub = make_handle(dom, payload)
@@ -968,7 +952,7 @@ def _localizing_system(op: SemistarOp, dom: DomainHandle) -> LocalizingSystemVie
     member = maximal_handle(dom)
     if not handle_eq(apply(op, member), dstar):
         raise ConsistencyError("certified member lost its defining property")
-    return LocalizingSystemView((member,), False)
+    return member
 
 
 def quasi_star_ideal_check(op: SemistarOp, i: IdealHandle) -> bool:
@@ -1032,7 +1016,9 @@ class ImageTable:
     """The images of operations over a universe led by D and M (they decide
     every operation on a valuation domain; Gilmer, 1972), each closed once,
     on first need, while the table lives (a suite keeps one); a walk reads a
-    prefix, and an `inner` delegate (ft or bar) reads its inner op's list."""
+    prefix.  Lists are keyed by the compiled `run`, so operations that
+    compile to one closure share one list: an `ft` or `bar` that only runs
+    its inner operation, or d, spec{M} and a tilde compiled to the identity."""
 
     def __init__(self, universe):
         dom = universe[0].domain if len(universe) else None
@@ -1040,16 +1026,9 @@ class ImageTable:
             raise AlgebraError("a comparison universe starts with D and M, as probe_ideals builds it")
         self.domain, self.universe, self.lists = dom, list(universe), {}
 
-    def resolve(self, op):
-        """The operation whose images op reads: op itself, or, while op
-        compiles to an `inner` delegate, its inner operation."""
-        while self.domain.fact(compile_op, op).kind == "inner":
-            op = op.inner
-        return op
-
     def images(self, op):
-        op = self.resolve(op)
-        yield from self.lists.setdefault(op, Replay(apply(op, e) for e in self.universe))
+        run = self.domain.fact(compile_op, op).run
+        yield from self.lists.setdefault(run, Replay(map(run, self.universe)))
 
     def first_failure(self, op1, op2, universe, related):
         if len(universe) < 2 or list(universe) != self.universe[:len(universe)]:
@@ -1072,7 +1051,7 @@ def ops_equal_on(op1: SemistarOp, op2: SemistarOp, universe, images: "ImageTable
         return holds("closed-forms-agree", detail=f"both reduce to {f1}")
     if images.domain.engine.homogeneous:  # every ideal is a shift of D or M, and the walk saw both
         return holds("determined-by-unit-and-maximal")
-    if images.resolve(op1) == images.resolve(op2):  # both run one compiled operation
+    if images.domain.fact(compile_op, op1).run is images.domain.fact(compile_op, op2).run:  # one compiled closure
         return holds("same-compiled-form")
     return unknown(len(universe), detail="agree on the whole universe")
 

@@ -24,6 +24,7 @@ from semistar.classify import (
     probe_ideals,
 )
 from semistar.operations import (
+    DomainHandle,
     apply,
     bar_op,
     d_op,
@@ -452,6 +453,11 @@ def test_probe_ideals_replay_one_prefix(dom_pvd):
     assert len(short) < len(long)
     # a replay hands out the handles drawn first, not equal copies
     assert all(a is b for a, b in zip(short, long))
+    # streams are keyed by the domain's value: an equal domain, built apart, replays them too
+    streams = len(spec.draws)
+    twin = DomainHandle(dom_pvd.family, dom_pvd.payload, dom_pvd.name)
+    assert [h.payload for h in probe_ideals(twin, spec, n=32)] == [h.payload for h in long]
+    assert twin is not dom_pvd and len(spec.draws) == streams
 
 
 def test_a_spec_is_freed_when_dropped_with_no_collector_run(dom_pvd):
@@ -707,12 +713,13 @@ def test_implication_and_biconditional_on_every_pair_of_outcomes():
 # one suite closes each compared operation once and builds each F (D:F) once
 
 def _walk_closures(monkeypatch):
-    """(op, id(ideal)) of every closure a comparison walk makes itself (a
-    universe may hold two equal ideals); the nested applies and those made
-    while compiling an operation are left out."""
+    """(run, id(ideal)) of every closure a comparison walk makes itself (a
+    universe may hold two equal ideals), one counter per compiled `run`, so
+    operations that compile to one closure share it; the nested runs and
+    those made while compiling an operation are left out."""
     from semistar import operations
 
-    closed, walking, depth = [], [False], [0]
+    closed, walking, depth, counters = [], [False], [0], {}
 
     def nested(fn):
         def run(*args):
@@ -723,12 +730,24 @@ def _walk_closures(monkeypatch):
                 depth[0] -= 1
         return run
 
-    nested_apply, walk = nested(operations.apply), operations.ImageTable.first_failure
+    def counter(run):
+        nested_run = nested(run)
 
-    def counted_apply(op, e):
-        if walking[0] and depth[0] == 0:
-            closed.append((op, id(e)))
-        return nested_apply(op, e)
+        def counted_run(e):
+            if walking[0] and depth[0] == 0:
+                closed.append((run, id(e)))
+            return nested_run(e)
+        return counted_run
+
+    compile_op, walk = operations.compile_op, operations.ImageTable.first_failure
+
+    def counted_compile(op, dom):
+        compiled = compile_op(op, dom)
+        if compiled.run in counters.values():  # a delegate: the inner operation's counted run
+            return compiled
+        if compiled.run not in counters:
+            counters[compiled.run] = counter(compiled.run)
+        return operations.CompiledOp(counters[compiled.run], compiled.form)
 
     def counted_walk(self, *args):
         walking[0] = True
@@ -737,7 +756,7 @@ def _walk_closures(monkeypatch):
         finally:
             walking[0] = False
 
-    monkeypatch.setattr(operations, "apply", counted_apply)
+    monkeypatch.setattr(operations, "compile_op", counted_compile)
     monkeypatch.setattr(operations.DomainHandle, "fact", nested(operations.DomainHandle.fact))
     monkeypatch.setattr(operations.ImageTable, "first_failure", counted_walk)
     return closed
@@ -767,6 +786,51 @@ def test_theorem_suite_closes_each_operation_once_per_universe_ideal(monkeypatch
         theorems.theorem_suite(domain, op, spec)
         assert closed, domain.name
         assert len(closed) == len(set(closed)), f"{domain.name} with {op!r}"
+
+
+def test_a_delegate_runs_its_inner_closure_and_a_table_keeps_one_list_per_run(monkeypatch):
+    """Over the catalog, an ft(op) or bar(op) that only runs op compiles to
+    op's own `run`, and each suite's image table keeps one list per distinct
+    `run` among the operations its walks read."""
+    from semistar import scenarios, theorems
+    from semistar.operations import ImageTable, UnsupportedOperation, compile_op, ft_op, known_stable, unit_image
+
+    tables = []  # (table, the operations read from it)
+    init, images = ImageTable.__init__, ImageTable.images
+
+    def kept_init(self, universe):
+        init(self, universe)
+        tables.append((self, []))
+
+    def read_images(self, op):
+        next(read for table, read in tables if table is self).append(op)
+        return images(self, op)
+
+    monkeypatch.setattr(ImageTable, "__init__", kept_init)
+    monkeypatch.setattr(ImageTable, "images", read_images)
+    spec = SampleSpec(seed=0, count=2)
+    shared = 0
+    for domain, ops in scenarios.catalog_instances():
+        for op in ops:
+            if op.kind == "spec" and op.tag == "P1":
+                continue  # the suite skips it
+            inner = domain.fact(compile_op, op).run
+            if "all_fg" in domain.capabilities:
+                assert domain.fact(compile_op, ft_op(op)).run is inner, (domain, op)
+            if known_stable(op, domain) or domain.engine.is_whole(unit_image(op, domain).payload):
+                assert domain.fact(compile_op, bar_op(op)).run is inner, (domain, op)
+            del tables[:]
+            theorems.theorem_suite(domain, op, spec)
+            for table, read in tables:
+                runs = set()
+                for o in read:
+                    try:
+                        runs.add(domain.fact(compile_op, o).run)
+                    except UnsupportedOperation:
+                        pass  # no list: the walk raised before reading one
+                assert set(table.lists) == runs, (domain, op)
+                shared += len(set(read)) - len(runs)
+    assert shared > 0  # some suites walk two operations that compile to one closure
 
 
 def _product_builds(monkeypatch):
